@@ -196,6 +196,12 @@ impl Waveform {
                 let tr = tr.max(MIN_EDGE);
                 let tf = tf.max(MIN_EDGE);
                 let cycle = [0.0, tr, tr + pw, tr + pw + tf];
+                // Only a period that holds the whole pulse repeats its
+                // corners: a shorter one wraps the waveform before its later
+                // corners are reached, and a degenerate one (e.g. 1e-308)
+                // would enumerate without bound. The cycle also stops where
+                // `per` falls below an ulp of `base` and no longer moves it.
+                let repeats = per >= tr + pw + tf;
                 let mut base = td;
                 loop {
                     let mut any = false;
@@ -206,13 +212,14 @@ impl Waveform {
                             any = true;
                         }
                     }
-                    if per <= 0.0 || !any {
+                    if !repeats || !any {
                         break;
                     }
-                    base += per;
-                    if base > tstop {
+                    let next = base + per;
+                    if next <= base || next > tstop {
                         break;
                     }
+                    base = next;
                 }
             }
             Waveform::Pwl(ref pts) => {
@@ -360,6 +367,17 @@ mod tests {
         assert!(has(11e-9)); // second period rise
         for w2 in bp.windows(2) {
             assert!(w2[0] < w2[1]);
+        }
+    }
+
+    #[test]
+    fn pulse_breakpoints_terminate_for_degenerate_periods() {
+        // A period below an ulp of the delay, or shorter than the pulse it
+        // repeats, yields the first cycle's corners and stops.
+        for (td, per) in [(1e-9, 1e-308), (0.0, 1e-308), (0.0, 1e-12)] {
+            let w = Waveform::pulse(0.0, 3.3, td, 0.2e-9, 0.2e-9, 4e-9, per);
+            let bp = w.breakpoints(1e-6);
+            assert_eq!(bp.len(), 4, "td {td:e} per {per:e}: {bp:?}");
         }
     }
 

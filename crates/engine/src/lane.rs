@@ -8,8 +8,8 @@
 //! DC solve, then a step loop of predict → stamp → factor/solve → converge →
 //! LTE-accept. This module re-implements only the *orchestration* of that
 //! loop; every numeric kernel is either the identical function
-//! ([`MnaSystem::stamp_lane`] — the monomorphized, bitwise-identical twin of
-//! [`MnaSystem::stamp_with`] — [`lte_step_control`], [`HistoryWindow`]
+//! ([`MnaSystem::stamp_iter`] — the one stamp kernel, which the classic
+//! Newton loop runs too — [`lte_step_control`], [`HistoryWindow`]
 //! predict/accept, [`MnaSystem::cap_currents_after`]) or a lane-packed kernel
 //! proven bit-equal to its scalar counterpart
 //! ([`LanePackedLu::refactor_lanes`] / [`LanePackedLu::solve_lanes`] vs
@@ -422,7 +422,7 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
             ic_mode: false,
         };
         lane.tick_key = LinKey::of(&input);
-        let sres = lane.sys.stamp_lane(&mut lane.ws, &input, &lane.x, &g.ctl, lane.it == 1);
+        let sres = lane.sys.stamp_iter(&mut lane.ws, &input, &lane.x, &g.ctl, lane.it == 1);
         lane.stats.device_evals += sres.evals;
         lane.stats.bypass_hits += sres.bypassed;
         if sres.companion_hit {

@@ -324,8 +324,9 @@ pub(crate) struct StampCaches {
     /// evaluated, its junction limiter did not fire, and `gmin` has not
     /// changed since).
     valid: Vec<bool>,
-    /// Per-device bypass decision for the current stamp pass (recomputed
-    /// from `valid` + the iterate by `compute_bypass_mask`).
+    /// Per-device bypass decision of the latest stamp pass: written inline
+    /// by the serial kernel, up-front by `compute_bypass_mask` on the
+    /// colored path; read by the colored workers and per-class metrics.
     pub(crate) mask: Vec<bool>,
     /// Controlling terminal voltages at the last actual evaluation, flat in
     /// `MnaSystem::ctrl_span` order. Updated *only* on evaluation — updating
@@ -343,13 +344,24 @@ pub(crate) struct StampCaches {
     /// Matrix values snapshot taken after the prologue + linear phase
     /// (nonlinear slots still zero), replayed on a key hit.
     lin_mat: Vec<f64>,
-    /// RHS snapshot taken after the linear phase of the most recent
-    /// [`MnaSystem::stamp_lane`] pass. Linear-device RHS contributions
+    /// RHS snapshot taken after the linear phase of the most recent stamp
+    /// that walked the linear devices. Linear-device RHS contributions
     /// depend only on the companion key's inputs plus the previous-point
     /// solutions and capacitor currents — never on the Newton iterate — so
-    /// within one Newton point the lane tier replays this snapshot on
-    /// iterations after the first instead of re-walking the linear devices.
+    /// within one Newton point iterations after the first replay this
+    /// snapshot instead of re-walking the linear devices.
     lin_rhs: Vec<f64>,
+}
+
+impl StampCaches {
+    /// Invalidates every device's bypass cache when the junction `gmin`
+    /// differs from the one the cached evaluations used.
+    fn sync_gmin(&mut self, gmin: f64) {
+        if gmin != self.gmin {
+            self.valid.fill(false);
+            self.gmin = gmin;
+        }
+    }
 }
 
 /// What one stamping pass did, for work accounting.
@@ -434,96 +446,70 @@ impl StampPlan {
     }
 }
 
-/// Where a stamping pass delivers its emissions. All three variants share the
-/// same ground-skip rule, so the emission *sequence* (and hence the slot
-/// table and the per-device spans) is identical across them.
-pub(crate) enum Sink<'a> {
-    /// Pattern pass: records matrix positions and RHS target unknowns.
-    Record { mat: &'a mut Vec<(usize, usize)>, rhs: &'a mut Vec<u32> },
-    /// Serial stamp: scatters through the slot table into the workspace.
-    Write { values: &'a mut [f64], slots: &'a [usize], cursor: usize, rhs: &'a mut [f64] },
-    /// Parallel evaluation: writes values densely in emission order into
-    /// pre-sized buffers (the plan spans fix every count up-front, so plain
-    /// cursor stores suffice — no `push` capacity checks on the hot path);
-    /// the accumulator later scatters them through the slot table in the
-    /// fixed color-then-element order.
-    Buffer { mat: &'a mut [f64], mat_cursor: usize, rhs: &'a mut [f64], rhs_cursor: usize },
-    /// Companion-cache hit: the matrix was already replayed wholesale, so
-    /// matrix emissions are dropped and only the (time/history-dependent)
-    /// RHS is re-emitted, exactly as `Write` would.
-    RhsOnly { rhs: &'a mut [f64] },
-}
-
-/// Emission target for [`MnaSystem::emit_device`]. Every implementation
-/// applies the same ground-skip rule, so the emission *sequence* (and hence
-/// the slot table and the per-device spans) is identical across sinks. The
-/// [`Sink`] enum serves the classic paths; the lane-packed stamp passes
-/// dedicated concrete sinks instead, monomorphizing the whole device
-/// evaluation so no per-emission variant dispatch survives inlining.
+/// Emission target for [`MnaSystem::emit_device`]. The ground-skip rule is
+/// applied once, in the provided `mat`/`rhs` methods, so every sink sees the
+/// same emission *sequence* — which is what keeps the slot table and the
+/// per-device spans valid across all of them. Each sink is a concrete type,
+/// so device evaluation is monomorphized per sink and no per-emission
+/// dispatch survives inlining.
 pub(crate) trait EmitSink {
-    fn mat(&mut self, r: usize, c: usize, v: f64);
-    fn rhs(&mut self, u: usize, v: f64);
-}
+    /// Takes one matrix emission with both indices off ground.
+    fn put_mat(&mut self, r: usize, c: usize, v: f64);
+    /// Takes one RHS emission with its index off ground.
+    fn put_rhs(&mut self, u: usize, v: f64);
 
-impl EmitSink for Sink<'_> {
     #[inline]
     fn mat(&mut self, r: usize, c: usize, v: f64) {
-        if r == GND || c == GND {
-            return;
-        }
-        match self {
-            Sink::Record { mat, .. } => mat.push((r, c)),
-            Sink::Write { values, slots, cursor, .. } => {
-                values[slots[*cursor]] += v;
-                *cursor += 1;
-            }
-            Sink::Buffer { mat, mat_cursor, .. } => {
-                mat[*mat_cursor] = v;
-                *mat_cursor += 1;
-            }
-            Sink::RhsOnly { .. } => {}
+        if r != GND && c != GND {
+            self.put_mat(r, c, v);
         }
     }
 
     #[inline]
     fn rhs(&mut self, u: usize, v: f64) {
-        if u == GND {
-            return;
-        }
-        match self {
-            Sink::Record { rhs, .. } => rhs.push(u as u32),
-            Sink::Write { rhs, .. } => rhs[u] += v,
-            Sink::Buffer { rhs, rhs_cursor, .. } => {
-                rhs[*rhs_cursor] = v;
-                *rhs_cursor += 1;
-            }
-            Sink::RhsOnly { rhs } => rhs[u] += v,
+        if u != GND {
+            self.put_rhs(u, v);
         }
     }
 }
 
-/// Monomorphized [`Sink::RhsOnly`]: companion-hit linear re-emission on the
-/// lane path. Matrix emissions are dropped (the memcpy already restored
-/// them), RHS adds land directly.
+/// Pattern pass: records every matrix position and RHS target unknown.
+struct RecordSink<'a> {
+    mat: &'a mut Vec<(usize, usize)>,
+    rhs: &'a mut Vec<u32>,
+}
+
+impl EmitSink for RecordSink<'_> {
+    #[inline]
+    fn put_mat(&mut self, r: usize, c: usize, _v: f64) {
+        self.mat.push((r, c));
+    }
+
+    #[inline]
+    fn put_rhs(&mut self, u: usize, _v: f64) {
+        self.rhs.push(u as u32);
+    }
+}
+
+/// Companion-cache hit: the matrix was already restored wholesale, so
+/// matrix emissions are dropped and only the (time/history-dependent) RHS
+/// lands.
 struct RhsOnlySink<'a> {
     rhs: &'a mut [f64],
 }
 
 impl EmitSink for RhsOnlySink<'_> {
     #[inline]
-    fn mat(&mut self, _r: usize, _c: usize, _v: f64) {}
+    fn put_mat(&mut self, _r: usize, _c: usize, _v: f64) {}
 
     #[inline]
-    fn rhs(&mut self, u: usize, v: f64) {
-        if u == GND {
-            return;
-        }
+    fn put_rhs(&mut self, u: usize, v: f64) {
         self.rhs[u] += v;
     }
 }
 
-/// Monomorphized [`Sink::Write`]: full linear restamp on the lane path,
-/// scattering through the slot table in emission-cursor order.
+/// Full linear restamp: scatters through the slot table in emission-cursor
+/// order.
 struct WriteSink<'a> {
     values: &'a mut [f64],
     slots: &'a [usize],
@@ -533,30 +519,24 @@ struct WriteSink<'a> {
 
 impl EmitSink for WriteSink<'_> {
     #[inline]
-    fn mat(&mut self, r: usize, c: usize, v: f64) {
-        if r == GND || c == GND {
-            return;
-        }
+    fn put_mat(&mut self, _r: usize, _c: usize, v: f64) {
         self.values[self.slots[self.cursor]] += v;
         self.cursor += 1;
     }
 
     #[inline]
-    fn rhs(&mut self, u: usize, v: f64) {
-        if u == GND {
-            return;
-        }
+    fn put_rhs(&mut self, u: usize, v: f64) {
         self.rhs[u] += v;
     }
 }
 
-/// Fresh nonlinear evaluation on the lane path: stores each emission into
-/// the device's bypass-cache span (replay on a later bypass hit needs it)
-/// and scatters it into the matrix/RHS in the same pass — fusing the
-/// classic buffer-then-scatter into one sweep. The per-slot addition order
-/// is unchanged because the classic scatter replays the cache span in
-/// emission order; `slots`/`cmat` are pre-sliced to the device's span so
-/// the cursor is span-relative.
+/// Fresh nonlinear evaluation on the serial stamp: stores each emission
+/// into the device's bypass-cache span (replay on a later bypass hit needs
+/// it) and scatters it into the matrix/RHS in the same pass. The per-slot
+/// addition order equals a replay of the cache span, which is how the
+/// colored master accumulates worker results, so both stay bit-identical;
+/// `slots`/`cmat` are pre-sliced to the device's span so the cursor is
+/// span-relative.
 struct FusedNlSink<'a> {
     cmat: &'a mut [f64],
     crhs: &'a mut [f64],
@@ -569,22 +549,41 @@ struct FusedNlSink<'a> {
 
 impl EmitSink for FusedNlSink<'_> {
     #[inline]
-    fn mat(&mut self, r: usize, c: usize, v: f64) {
-        if r == GND || c == GND {
-            return;
-        }
+    fn put_mat(&mut self, _r: usize, _c: usize, v: f64) {
         self.cmat[self.mc] = v;
         self.values[self.slots[self.mc]] += v;
         self.mc += 1;
     }
 
     #[inline]
-    fn rhs(&mut self, u: usize, v: f64) {
-        if u == GND {
-            return;
-        }
+    fn put_rhs(&mut self, u: usize, v: f64) {
         self.crhs[self.rc] = v;
         self.rhs[u] += v;
+        self.rc += 1;
+    }
+}
+
+/// Colored-worker evaluation: values land densely in emission order in
+/// pre-sized buffers (the plan spans fix every count up-front, so plain
+/// cursor stores suffice); the master later records them into the bypass
+/// cache and scatters them in the fixed color-then-element order.
+struct BufferSink<'a> {
+    mat: &'a mut [f64],
+    mc: usize,
+    rhs: &'a mut [f64],
+    rc: usize,
+}
+
+impl EmitSink for BufferSink<'_> {
+    #[inline]
+    fn put_mat(&mut self, _r: usize, _c: usize, v: f64) {
+        self.mat[self.mc] = v;
+        self.mc += 1;
+    }
+
+    #[inline]
+    fn put_rhs(&mut self, _u: usize, v: f64) {
+        self.rhs[self.rc] = v;
         self.rc += 1;
     }
 }
@@ -979,7 +978,7 @@ impl MnaSystem {
         let mut rhs_span = vec![(0u32, 0u32); self.devices.len()];
         {
             let mut jct = Junction::InPlace(&mut junction);
-            let mut sink = Sink::Record { mat: &mut entries, rhs: &mut rhs_targets };
+            let mut sink = RecordSink { mat: &mut entries, rhs: &mut rhs_targets };
             // Shunt prologue occupies emission cursors 0..n_nodes, exactly as
             // in the stamp's linear phase.
             for i in 0..self.n_nodes {
@@ -990,10 +989,7 @@ impl MnaSystem {
             // pass and every numeric path on this one order is what keeps the
             // slot table and the per-device spans valid everywhere.
             for &d in self.lin_elem.iter().chain(&self.nl_elem) {
-                let (m0, r0) = match &sink {
-                    Sink::Record { mat, rhs } => (mat.len() as u32, rhs.len() as u32),
-                    _ => unreachable!(),
-                };
+                let (m0, r0) = (sink.mat.len() as u32, sink.rhs.len() as u32);
                 Self::emit_device(
                     &self.devices[d as usize],
                     &input,
@@ -1002,12 +998,8 @@ impl MnaSystem {
                     &mut limited,
                     &mut sink,
                 );
-                let (m1, r1) = match &sink {
-                    Sink::Record { mat, rhs } => (mat.len() as u32, rhs.len() as u32),
-                    _ => unreachable!(),
-                };
-                mat_span[d as usize] = (m0, m1);
-                rhs_span[d as usize] = (r0, r1);
+                mat_span[d as usize] = (m0, sink.mat.len() as u32);
+                rhs_span[d as usize] = (r0, sink.rhs.len() as u32);
             }
         }
         let n = self.n_unknowns;
@@ -1246,16 +1238,10 @@ impl MnaSystem {
         self.stamp_with(ws, input, x_iter, &CacheCtl::disabled()).evals
     }
 
-    /// Stamps the linearised system at iterate `x_iter` into `ws`, using the
-    /// workspace's solver caches as `ctl` allows: the linear phase may replay
-    /// the companion-cached matrix, and nonlinear devices whose controlling
-    /// voltages are within the bypass tolerance replay their cached stamp.
-    ///
-    /// The emission order is fixed (node-shunt prologue, linear devices in
-    /// element order, nonlinear devices in element order) for every `ctl`
-    /// setting, and every cache decision is a deterministic function of the
-    /// iterate and the workspace state — so two runs with the same options
-    /// produce bitwise-identical results, serial or parallel.
+    /// [`MnaSystem::stamp_iter`] as the first iteration of a point: the
+    /// linear devices are always walked (their matrix possibly replayed from
+    /// the companion cache), never skipped. This is the right call for any
+    /// stamp outside a Newton loop.
     pub fn stamp_with(
         &self,
         ws: &mut MnaWorkspace,
@@ -1263,193 +1249,35 @@ impl MnaSystem {
         x_iter: &[f64],
         ctl: &CacheCtl,
     ) -> StampResult {
-        self.compute_bypass_mask(&mut ws.caches, input, x_iter, ctl);
-        let companion_hit = self.stamp_linear_phase(ws, input, x_iter, ctl);
-        let (nl_evals, bypassed) = self.stamp_nonlinear_serial(ws, input, x_iter);
-        StampResult { evals: self.lin_elem.len() + nl_evals, bypassed, companion_hit }
+        self.stamp_iter(ws, input, x_iter, ctl, true)
     }
 
-    /// Decides, per nonlinear device, whether its cached stamp may be
-    /// replayed this pass: the cache must be valid (evaluated, unlimited,
-    /// same `gmin`) and every controlling terminal voltage must be within
-    /// `vabs + vrel * max(|v|, |v_ref|)` of the evaluation reference.
-    /// Shared verbatim by the serial and parallel paths (the parallel master
-    /// computes the mask once and ships it to the workers).
-    pub(crate) fn compute_bypass_mask(
-        &self,
-        caches: &mut StampCaches,
-        input: &StampInput<'_>,
-        x: &[f64],
-        ctl: &CacheCtl,
-    ) {
-        if input.gmin != caches.gmin {
-            caches.valid.fill(false);
-            caches.gmin = input.gmin;
-        }
-        if !ctl.bypass {
-            caches.mask.fill(false);
-            return;
-        }
-        for &d in &self.nl_elem {
-            let du = d as usize;
-            let (c0, c1) = self.ctrl_span[du];
-            let mut ok = caches.valid[du] && c0 != c1;
-            for k in c0..c1 {
-                if !ok {
-                    break;
-                }
-                let t = self.ctrl_nodes[k as usize];
-                let v = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                let vref = caches.ctrl[k as usize];
-                let tol = ctl.bypass_vabs + ctl.bypass_vrel * v.abs().max(vref.abs());
-                // NaN-safe: a non-finite iterate never bypasses.
-                ok = (v - vref).abs() <= tol;
-            }
-            caches.mask[du] = ok;
-        }
-    }
-
-    /// Linear phase: zeroes the workspace, applies the node-shunt prologue,
-    /// and stamps every linear device — replaying the assembled matrix from
-    /// the companion cache when the step-size key matches (the RHS carries
-    /// the time- and history-dependent terms, so it is always re-emitted).
-    /// Returns whether the cache hit.
-    pub(crate) fn stamp_linear_phase(
-        &self,
-        ws: &mut MnaWorkspace,
-        input: &StampInput<'_>,
-        x: &[f64],
-        ctl: &CacheCtl,
-    ) -> bool {
-        ws.rhs.fill(0.0);
-        ws.limited = false;
-        let key = LinKey::of(input);
-        let MnaWorkspace { matrix, rhs, junction_state, limited, caches } = ws;
-        let hit = ctl.companion && caches.lin_key == Some(key);
-        let mut jct = Junction::InPlace(junction_state);
-        if hit {
-            // One memcpy restores prologue + linear matrix (and zeroes the
-            // nonlinear slots, which were zero in the snapshot).
-            matrix.values_mut().copy_from_slice(&caches.lin_mat);
-            let mut sink = Sink::RhsOnly { rhs };
-            for &d in &self.lin_elem {
-                Self::emit_device(
-                    &self.devices[d as usize],
-                    input,
-                    x,
-                    &mut jct,
-                    limited,
-                    &mut sink,
-                );
-            }
-        } else {
-            matrix.set_values_zero();
-            {
-                let values = matrix.values_mut();
-                for i in 0..self.n_nodes {
-                    values[self.slots[i]] += input.gshunt;
-                }
-                let mut sink =
-                    Sink::Write { values, slots: &self.slots, cursor: self.n_nodes, rhs };
-                for &d in &self.lin_elem {
-                    Self::emit_device(
-                        &self.devices[d as usize],
-                        input,
-                        x,
-                        &mut jct,
-                        limited,
-                        &mut sink,
-                    );
-                }
-            }
-            caches.lin_mat.copy_from_slice(matrix.values());
-            caches.lin_key = if ctl.companion { Some(key) } else { None };
-        }
-        hit
-    }
-
-    /// Serial nonlinear phase: element order, each device either replayed
-    /// from its bypass cache or evaluated into it, then scattered through
-    /// the slot table. Returns `(evaluated, bypassed)` counts.
-    fn stamp_nonlinear_serial(
-        &self,
-        ws: &mut MnaWorkspace,
-        input: &StampInput<'_>,
-        x: &[f64],
-    ) -> (usize, usize) {
-        let MnaWorkspace { matrix, rhs, junction_state, limited, caches } = ws;
-        let StampCaches { valid, mask, ctrl, mat: cmat, rhs: crhs, .. } = caches;
-        let values = matrix.values_mut();
-        let mut jct = Junction::InPlace(junction_state);
-        let (mut evals, mut bypassed) = (0usize, 0usize);
-        for &d in &self.nl_elem {
-            let du = d as usize;
-            let (m0, m1) = self.plan.mat_span[du];
-            let (r0, r1) = self.plan.rhs_span[du];
-            let (m0, m1, r0, r1) = (m0 as usize, m1 as usize, r0 as usize, r1 as usize);
-            if mask[du] {
-                bypassed += 1;
-            } else {
-                let mut dev_limited = false;
-                {
-                    let mut sink = Sink::Buffer {
-                        mat: &mut cmat[m0..m1],
-                        mat_cursor: 0,
-                        rhs: &mut crhs[r0..r1],
-                        rhs_cursor: 0,
-                    };
-                    Self::emit_device(
-                        &self.devices[du],
-                        input,
-                        x,
-                        &mut jct,
-                        &mut dev_limited,
-                        &mut sink,
-                    );
-                }
-                *limited |= dev_limited;
-                let (c0, c1) = self.ctrl_span[du];
-                if c0 != c1 {
-                    valid[du] = !dev_limited;
-                    for k in c0..c1 {
-                        let t = self.ctrl_nodes[k as usize];
-                        ctrl[k as usize] = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                    }
-                }
-                evals += 1;
-            }
-            // Scatter the (fresh or replayed) emissions: same per-slot
-            // addition order either way.
-            for (k, &slot) in self.slots[m0..m1].iter().enumerate() {
-                values[slot] += cmat[m0 + k];
-            }
-            for (k, &u) in self.plan.rhs_targets[r0..r1].iter().enumerate() {
-                rhs[u as usize] += crhs[r0 + k];
-            }
-        }
-        (evals, bypassed)
-    }
-
-    /// Lane-tier stamp: same cache decisions, device order, and emission
-    /// sequence as [`MnaSystem::stamp_with`] — bitwise-identical results —
-    /// with the emission plumbing monomorphized. The classic path routes
-    /// every emission through the `Sink` enum (a variant dispatch per
-    /// matrix entry) and buffers nonlinear stamps before a separate scatter
-    /// pass; here each sink is a concrete type the compiler inlines whole,
-    /// and fresh nonlinear evaluations scatter as they emit. With ~40
-    /// linear companion re-emissions and ~16 device evaluations per Newton
-    /// iteration on digital workloads, stamping dominates the serial
-    /// profile, so the lane-packed batch tier calls this instead of
-    /// `stamp_with` to buy its throughput edge on the stamp side as well
-    /// as the solve side.
+    /// The stamp kernel: stamps the linearised system at iterate `x_iter`
+    /// into `ws`, using the workspace's solver caches as `ctl` allows. The
+    /// linear phase may replay the companion-cached matrix, and nonlinear
+    /// devices whose controlling voltages are within the bypass tolerance
+    /// replay their cached stamp. Serial Newton, the batch lane tier and the
+    /// colored executor's serial fallback all run this; the colored master
+    /// runs its linear phase and accumulates worker results through the
+    /// same cache bookkeeping.
+    ///
+    /// The emission order is fixed (node-shunt prologue, linear devices in
+    /// element order, nonlinear devices in element order) for every `ctl`
+    /// setting, and every cache decision is a deterministic function of the
+    /// iterate and the workspace state — so two runs with the same options
+    /// produce bitwise-identical results, serial or parallel.
+    ///
     /// `first_iter` marks the first Newton iteration of the current time
     /// point. On later iterations of the same point every input of the
     /// linear phase other than the iterate — time, integration
     /// coefficients, previous-point solutions, capacitor currents — is
     /// unchanged, and linear devices never read the iterate, so the linear
     /// RHS snapshot taken on the first iteration is replayed by `memcpy`
-    /// (the exact bits the device walk would reproduce).
-    pub fn stamp_lane(
+    /// (the exact bits the device walk would reproduce). Passing `false` is
+    /// sound when the previous stamp on `ws` had the same time, history and
+    /// source scale; a changed companion key (DC/UIC mode, step size,
+    /// `gshunt`) forces the walk by itself.
+    pub fn stamp_iter(
         &self,
         ws: &mut MnaWorkspace,
         input: &StampInput<'_>,
@@ -1457,24 +1285,104 @@ impl MnaSystem {
         ctl: &CacheCtl,
         first_iter: bool,
     ) -> StampResult {
-        // The `gmin` prologue of `compute_bypass_mask`, at the same point in
-        // the call sequence. The per-device tolerance checks themselves are
-        // folded into the fused nonlinear pass below: they are pure
-        // predicates of state that pass never mutates before reading, so
-        // deciding each device at its own turn reproduces the mask bit for
-        // bit without a separate traversal (or the mask array itself).
-        if input.gmin != ws.caches.gmin {
-            ws.caches.valid.fill(false);
-            ws.caches.gmin = input.gmin;
-        }
-        let companion_hit = self.stamp_linear_phase_lane(ws, input, x_iter, ctl, first_iter);
-        let (nl_evals, bypassed) = self.stamp_nonlinear_fused(ws, input, x_iter, ctl);
+        ws.caches.sync_gmin(input.gmin);
+        let companion_hit = self.stamp_linear(ws, input, x_iter, ctl, first_iter);
+        let (nl_evals, bypassed) = self.stamp_nonlinear(ws, input, x_iter, ctl);
         StampResult { evals: self.lin_elem.len() + nl_evals, bypassed, companion_hit }
     }
 
-    /// [`MnaSystem::stamp_linear_phase`] with monomorphized sinks: identical
-    /// control flow, cache updates, and emission order.
-    fn stamp_linear_phase_lane(
+    /// Decides every nonlinear device's bypass up-front into
+    /// `caches.mask`, for the colored executor, which must ship the
+    /// decisions to its workers before any evaluation. The serial kernel
+    /// decides each device at its own turn instead; both apply
+    /// [`MnaSystem::bypass_ok`] to the same state, so the masks agree.
+    pub(crate) fn compute_bypass_mask(
+        &self,
+        caches: &mut StampCaches,
+        input: &StampInput<'_>,
+        x: &[f64],
+        ctl: &CacheCtl,
+    ) {
+        caches.sync_gmin(input.gmin);
+        let StampCaches { valid, mask, ctrl, .. } = caches;
+        for &d in &self.nl_elem {
+            mask[d as usize] = self.bypass_ok(d as usize, valid, ctrl, x, ctl);
+        }
+    }
+
+    /// Whether nonlinear device `d` may replay its cached stamp at iterate
+    /// `x`: the cache must be valid (evaluated, unlimited, same `gmin`) and
+    /// every controlling terminal voltage within
+    /// `vabs + vrel * max(|v|, |v_ref|)` of the evaluation reference. Reads
+    /// only `d`'s own state, which a stamp pass writes only after deciding
+    /// `d`, so deciding at each device's turn equals deciding up-front.
+    #[inline]
+    fn bypass_ok(&self, d: usize, valid: &[bool], ctrl: &[f64], x: &[f64], ctl: &CacheCtl) -> bool {
+        let (c0, c1) = self.ctrl_span[d];
+        if !(ctl.bypass && valid[d] && c0 != c1) {
+            return false;
+        }
+        (c0..c1).all(|k| {
+            let t = self.ctrl_nodes[k as usize];
+            let v = if t == u32::MAX { 0.0 } else { x[t as usize] };
+            let vref = ctrl[k as usize];
+            let tol = ctl.bypass_vabs + ctl.bypass_vrel * v.abs().max(vref.abs());
+            // NaN-safe: a non-finite iterate never bypasses.
+            (v - vref).abs() <= tol
+        })
+    }
+
+    /// Records a fresh evaluation of device `d` at iterate `x` in its bypass
+    /// state: the cache is replayable only if the junction limiter did not
+    /// fire, and the controlling voltages become the new reference.
+    #[inline]
+    fn record_eval(
+        &self,
+        d: usize,
+        dev_limited: bool,
+        x: &[f64],
+        valid: &mut [bool],
+        ctrl: &mut [f64],
+    ) {
+        let (c0, c1) = self.ctrl_span[d];
+        if c0 != c1 {
+            valid[d] = !dev_limited;
+            for k in c0..c1 {
+                let t = self.ctrl_nodes[k as usize];
+                ctrl[k as usize] = if t == u32::MAX { 0.0 } else { x[t as usize] };
+            }
+        }
+    }
+
+    /// Scatters device `d`'s cached emissions into the matrix and RHS, in
+    /// emission order (a bypass replay, or the colored master folding in a
+    /// worker's fresh values).
+    #[inline]
+    fn scatter_cached(
+        &self,
+        d: usize,
+        cmat: &[f64],
+        crhs: &[f64],
+        values: &mut [f64],
+        rhs: &mut [f64],
+    ) {
+        let (m0, m1) = self.plan.mat_span[d];
+        let (r0, r1) = self.plan.rhs_span[d];
+        let (m0, m1, r0, r1) = (m0 as usize, m1 as usize, r0 as usize, r1 as usize);
+        for (&slot, &v) in self.slots[m0..m1].iter().zip(&cmat[m0..m1]) {
+            values[slot] += v;
+        }
+        for (&u, &v) in self.plan.rhs_targets[r0..r1].iter().zip(&crhs[r0..r1]) {
+            rhs[u as usize] += v;
+        }
+    }
+
+    /// Linear phase: zeroes the workspace, applies the node-shunt prologue
+    /// and stamps every linear device — replaying the assembled matrix from
+    /// the companion cache when the step-size key matches, and the whole
+    /// linear RHS as well after the first iteration of a point (see
+    /// [`MnaSystem::stamp_iter`]). Returns whether the companion cache hit.
+    pub(crate) fn stamp_linear(
         &self,
         ws: &mut MnaWorkspace,
         input: &StampInput<'_>,
@@ -1499,6 +1407,8 @@ impl MnaSystem {
         rhs.fill(0.0);
         let mut jct = Junction::InPlace(junction_state);
         if hit {
+            // One memcpy restores prologue + linear matrix (and zeroes the
+            // nonlinear slots, which were zero in the snapshot).
             matrix.values_mut().copy_from_slice(&caches.lin_mat);
             let (a1, a2, b1) = match input.coeffs {
                 Some(c) => (c.a1, c.a2, c.b1),
@@ -1558,13 +1468,12 @@ impl MnaSystem {
         hit
     }
 
-    /// [`MnaSystem::stamp_nonlinear_serial`] with the buffer-then-scatter
-    /// split fused into one pass for fresh evaluations: each emission is
-    /// stored into the bypass-cache span *and* scattered immediately. The
-    /// per-slot addition order is exactly the classic scatter's (the cache
-    /// span is written and replayed in emission order), so results stay
-    /// bitwise identical.
-    fn stamp_nonlinear_fused(
+    /// Nonlinear phase, element order: each device either replays its
+    /// bypass cache or is evaluated through [`FusedNlSink`], which fills
+    /// the cache and scatters in one sweep. The bypass decision is stored
+    /// into `caches.mask` for per-class metrics. Returns
+    /// `(evaluated, bypassed)` counts.
+    fn stamp_nonlinear(
         &self,
         ws: &mut MnaWorkspace,
         input: &StampInput<'_>,
@@ -1572,72 +1481,36 @@ impl MnaSystem {
         ctl: &CacheCtl,
     ) -> (usize, usize) {
         let MnaWorkspace { matrix, rhs, junction_state, limited, caches } = ws;
-        let StampCaches { valid, ctrl, mat: cmat, rhs: crhs, .. } = caches;
+        let StampCaches { valid, mask, ctrl, mat: cmat, rhs: crhs, .. } = caches;
         let values = matrix.values_mut();
         let mut jct = Junction::InPlace(junction_state);
         let (mut evals, mut bypassed) = (0usize, 0usize);
         for &d in &self.nl_elem {
             let du = d as usize;
+            let bypass = self.bypass_ok(du, valid, ctrl, x, ctl);
+            mask[du] = bypass;
+            if bypass {
+                bypassed += 1;
+                self.scatter_cached(du, cmat, crhs, values, rhs);
+                continue;
+            }
             let (m0, m1) = self.plan.mat_span[du];
             let (r0, r1) = self.plan.rhs_span[du];
             let (m0, m1, r0, r1) = (m0 as usize, m1 as usize, r0 as usize, r1 as usize);
-            // Inline bypass decision — the same predicate
-            // `compute_bypass_mask` evaluates for this device, decided at
-            // the device's own turn (nothing this loop writes is read by a
-            // later device's predicate).
-            let (c0, c1) = self.ctrl_span[du];
-            let mut bypass_ok = ctl.bypass && valid[du] && c0 != c1;
-            for k in c0..c1 {
-                if !bypass_ok {
-                    break;
-                }
-                let t = self.ctrl_nodes[k as usize];
-                let v = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                let vref = ctrl[k as usize];
-                let tol = ctl.bypass_vabs + ctl.bypass_vrel * v.abs().max(vref.abs());
-                // NaN-safe: a non-finite iterate never bypasses.
-                bypass_ok = (v - vref).abs() <= tol;
-            }
-            if bypass_ok {
-                bypassed += 1;
-                // Bypass replay: scatter the cached stamp, same as classic.
-                for (k, &slot) in self.slots[m0..m1].iter().enumerate() {
-                    values[slot] += cmat[m0 + k];
-                }
-                for (k, &u) in self.plan.rhs_targets[r0..r1].iter().enumerate() {
-                    rhs[u as usize] += crhs[r0 + k];
-                }
-            } else {
-                let mut dev_limited = false;
-                {
-                    let mut sink = FusedNlSink {
-                        cmat: &mut cmat[m0..m1],
-                        crhs: &mut crhs[r0..r1],
-                        slots: &self.slots[m0..m1],
-                        values: &mut *values,
-                        rhs: rhs.as_mut_slice(),
-                        mc: 0,
-                        rc: 0,
-                    };
-                    Self::emit_device(
-                        &self.devices[du],
-                        input,
-                        x,
-                        &mut jct,
-                        &mut dev_limited,
-                        &mut sink,
-                    );
-                }
-                *limited |= dev_limited;
-                if c0 != c1 {
-                    valid[du] = !dev_limited;
-                    for k in c0..c1 {
-                        let t = self.ctrl_nodes[k as usize];
-                        ctrl[k as usize] = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                    }
-                }
-                evals += 1;
-            }
+            let mut dev_limited = false;
+            let mut sink = FusedNlSink {
+                cmat: &mut cmat[m0..m1],
+                crhs: &mut crhs[r0..r1],
+                slots: &self.slots[m0..m1],
+                values: &mut *values,
+                rhs: rhs.as_mut_slice(),
+                mc: 0,
+                rc: 0,
+            };
+            Self::emit_device(&self.devices[du], input, x, &mut jct, &mut dev_limited, &mut sink);
+            *limited |= dev_limited;
+            self.record_eval(du, dev_limited, x, valid, ctrl);
+            evals += 1;
         }
         (evals, bypassed)
     }
@@ -1708,7 +1581,7 @@ impl MnaSystem {
         limited_devs.clear();
         let mut limited = false;
         let mut jct = Junction::Buffered { snapshot: junction_snapshot, writes: jct_out };
-        let mut sink = Sink::Buffer { mat: mat_out, mat_cursor: 0, rhs: rhs_out, rhs_cursor: 0 };
+        let mut sink = BufferSink { mat: mat_out, mc: 0, rhs: rhs_out, rc: 0 };
         for &d in devices {
             if mask[d as usize] {
                 continue;
@@ -1727,11 +1600,7 @@ impl MnaSystem {
                 limited_devs.push(d);
             }
         }
-        debug_assert!(matches!(
-            sink,
-            Sink::Buffer { mat_cursor, rhs_cursor, .. }
-                if mat_cursor == mat_len && rhs_cursor == rhs_len
-        ));
+        debug_assert!(sink.mc == mat_len && sink.rc == rhs_len);
         limited
     }
 
@@ -1762,12 +1631,12 @@ impl MnaSystem {
         let (mut evals, mut bypassed) = (0usize, 0usize);
         for &d in devices {
             let du = d as usize;
-            let (m0, m1) = self.plan.mat_span[du];
-            let (r0, r1) = self.plan.rhs_span[du];
-            let (m0, m1, r0, r1) = (m0 as usize, m1 as usize, r0 as usize, r1 as usize);
             if mask[du] {
                 bypassed += 1;
             } else {
+                let (m0, m1) = self.plan.mat_span[du];
+                let (r0, r1) = self.plan.rhs_span[du];
+                let (m0, m1, r0, r1) = (m0 as usize, m1 as usize, r0 as usize, r1 as usize);
                 cmat[m0..m1].copy_from_slice(&mat_vals[mi..mi + (m1 - m0)]);
                 crhs[r0..r1].copy_from_slice(&rhs_vals[ri..ri + (r1 - r0)]);
                 mi += m1 - m0;
@@ -1777,22 +1646,10 @@ impl MnaSystem {
                     li += 1;
                     *limited = true;
                 }
-                let (c0, c1) = self.ctrl_span[du];
-                if c0 != c1 {
-                    valid[du] = !dev_limited;
-                    for k in c0..c1 {
-                        let t = self.ctrl_nodes[k as usize];
-                        ctrl[k as usize] = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                    }
-                }
+                self.record_eval(du, dev_limited, x, valid, ctrl);
                 evals += 1;
             }
-            for (k, &slot) in self.slots[m0..m1].iter().enumerate() {
-                values[slot] += cmat[m0 + k];
-            }
-            for (k, &u) in self.plan.rhs_targets[r0..r1].iter().enumerate() {
-                rhs[u as usize] += crhs[r0 + k];
-            }
+            self.scatter_cached(du, cmat, crhs, values, rhs);
         }
         debug_assert_eq!(mi, mat_vals.len());
         debug_assert_eq!(ri, rhs_vals.len());
@@ -2261,6 +2118,65 @@ mod tests {
         match sys.set_source("Vnope", 2.0) {
             Err(crate::EngineError::UnknownSource { name }) => assert_eq!(name, "Vnope"),
             other => panic!("expected UnknownSource, got {other:?}"),
+        }
+    }
+
+    /// A `first_iter = false` stamp replays the linear RHS captured by the
+    /// point's first iteration. In every linear-phase mode it must give the
+    /// bits a caches-off stamp gives at the same iterate; a `gshunt` change
+    /// within the point must force the walk instead.
+    #[test]
+    fn linear_rhs_replay_matches_cache_free_stamp() {
+        let mut ckt = Circuit::new("replay");
+        let (a, b, c) = (ckt.node("a"), ckt.node("b"), ckt.node("c"));
+        let gnd = Circuit::GROUND;
+        ckt.add_vsource("V1", a, gnd, W::pulse(0.0, 1.0, 0.0, 1e-9, 1e-9, 5e-9, 20e-9)).unwrap();
+        ckt.add_resistor("R1", a, b, 1e3).unwrap();
+        ckt.add_capacitor_ic("C1", b, gnd, 1e-12, 0.4).unwrap();
+        ckt.add_inductor("L1", b, c, 1e-6).unwrap();
+        let diode = wavepipe_circuit::DiodeModel { cj0: 1e-12, ..Default::default() };
+        ckt.add_diode("D1", c, gnd, diode).unwrap();
+        ckt.add_mosfet("M1", c, b, gnd, wavepipe_circuit::MosModel::nmos()).unwrap();
+        let sys = MnaSystem::compile(&ckt).unwrap();
+        let n = sys.n_unknowns();
+        let vec_at = |s: f64| (0..n).map(|i| s * (0.9 * i as f64 + s).sin()).collect::<Vec<_>>();
+        let (xp, xp2, x0, x1) = (vec_at(0.3), vec_at(0.5), vec_at(0.7), vec_at(1.1));
+        let caps: Vec<f64> = (0..sys.cap_state_count()).map(|k| 1e-6 * (k as f64 + 1.0)).collect();
+        let (xp, xp2, caps) = (&xp, &xp2, &caps);
+        let at = move |coeffs, ic_mode, gshunt| StampInput {
+            time: 3e-9,
+            coeffs,
+            x_prev: xp,
+            x_prev2: xp2,
+            cap_currents: caps,
+            gmin: 1e-12,
+            gshunt,
+            source_scale: 1.0,
+            ic_mode,
+        };
+        let trap = Some(IntegCoeffs::new(Method::Trapezoidal, 1e-10, 1e-10));
+        let gear = Some(IntegCoeffs::new(Method::Gear2, 1e-10, 2e-10));
+        let cases = [
+            ("dc", at(None, false, 0.0), at(None, false, 0.0)),
+            ("trap", at(trap, false, 0.0), at(trap, false, 0.0)),
+            ("gear2", at(gear, false, 0.0), at(gear, false, 0.0)),
+            ("uic", at(None, true, 0.0), at(None, true, 0.0)),
+            ("gshunt", at(trap, false, 0.0), at(trap, false, 1e-3)),
+        ];
+        // Bypass off: only the linear-phase replay is under test.
+        let ctl = CacheCtl { companion: true, ..CacheCtl::disabled() };
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (name, first, later) in cases {
+            let mut ws = sys.new_workspace();
+            sys.stamp_iter(&mut ws, &first, &x0, &ctl, true);
+            let res = sys.stamp_iter(&mut ws, &later, &x1, &ctl, false);
+            // Same junction history (x0, then x1) with every cache off.
+            let mut reference = sys.new_workspace();
+            sys.stamp(&mut reference, &first, &x0);
+            sys.stamp(&mut reference, &later, &x1);
+            assert_eq!(res.companion_hit, name != "gshunt", "{name}: companion hit");
+            assert_eq!(bits(ws.matrix.values()), bits(reference.matrix.values()), "{name}: matrix");
+            assert_eq!(bits(&ws.rhs), bits(&reference.rhs), "{name}: rhs");
         }
     }
 }

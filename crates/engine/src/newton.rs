@@ -309,11 +309,16 @@ pub fn newton_solve(
         stats.newton_iterations += 1;
         opts.probe.emit(input.time, EventKind::NewtonIter { iteration: it as u32 });
         opts.metrics.inc(Counter::NewtonIterations);
+        // Only the first iteration walks the linear devices' RHS; later
+        // ones replay its snapshot (same input, same bits).
+        let first_iter = it == 1;
         let sres = match exec.as_deref_mut() {
-            Some(e) => e.stamp(ws, input, &x, &ctl, &opts.probe, &opts.metrics, stats),
+            Some(e) => {
+                e.stamp_iter(ws, input, &x, &ctl, first_iter, &opts.probe, &opts.metrics, stats)
+            }
             None => {
                 let t0 = Instant::now();
-                let res = sys.stamp_with(ws, input, &x, &ctl);
+                let res = sys.stamp_iter(ws, input, &x, &ctl, first_iter);
                 let ns = t0.elapsed().as_nanos();
                 stats.stamp_ns += ns;
                 stats.stamp_modeled_ns += ns;

@@ -12,8 +12,8 @@
 //! coloring guarantees matches the serial per-slot addition order. Device
 //! bypass is decided on the master before dispatch (one mask per stamp
 //! call), so workers skip exactly the devices the serial path skips. The
-//! result is bit-identical to [`MnaSystem::stamp_with`], independent of
-//! worker count, scheduling, and cache knob settings.
+//! result is bit-identical to the serial kernel [`MnaSystem::stamp_iter`],
+//! independent of worker count, scheduling, and cache knob settings.
 //!
 //! Timing: [`SimStats::stamp_ns`] gets the actual wall time of each call,
 //! while [`SimStats::stamp_modeled_ns`] gets the critical-path model (the
@@ -27,7 +27,7 @@
 //! that worker; the master evaluates the affected chunks inline from the
 //! retained snapshot — same devices, same order, bit-identical results —
 //! and then degrades the executor permanently to the serial
-//! [`MnaSystem::stamp`] path, emitting [`EventKind::WorkerLost`] and
+//! [`MnaSystem::stamp_iter`] kernel, emitting [`EventKind::WorkerLost`] and
 //! [`EventKind::FallbackSerial`] once.
 
 use crate::fault::FaultHandle;
@@ -360,8 +360,28 @@ impl StampExecutor {
         metrics: &MetricsHandle,
         stats: &mut SimStats,
     ) -> StampResult {
+        self.stamp_iter(ws, input, x_iter, ctl, true, probe, metrics, stats)
+    }
+
+    /// Parallel equivalent of [`MnaSystem::stamp_iter`]: the master runs
+    /// the kernel's linear phase (`first_iter` replay included) while the
+    /// workers evaluate the nonlinear chunks, and once degraded the whole
+    /// call is the kernel itself. Either way the linear-RHS snapshot stays
+    /// current, so serial and parallel stamps may alternate within a point.
+    #[allow(clippy::too_many_arguments)] // mirrors the serial stamp context plus observability handles
+    pub fn stamp_iter(
+        &mut self,
+        ws: &mut MnaWorkspace,
+        input: &StampInput<'_>,
+        x_iter: &[f64],
+        ctl: &CacheCtl,
+        first_iter: bool,
+        probe: &ProbeHandle,
+        metrics: &MetricsHandle,
+        stats: &mut SimStats,
+    ) -> StampResult {
         if self.broken {
-            return self.stamp_serial(ws, input, x_iter, ctl, stats);
+            return self.stamp_serial(ws, input, x_iter, ctl, first_iter, stats);
         }
         let t_call = Instant::now();
         // Decide bypass on the master (exactly as the serial path does),
@@ -414,7 +434,7 @@ impl StampExecutor {
 
         // The master stamps the linear phase itself while the workers chew
         // on the nonlinear chunks.
-        let companion_hit = self.sys.stamp_linear_phase(ws, input, x_iter, ctl);
+        let companion_hit = self.sys.stamp_linear(ws, input, x_iter, ctl, first_iter);
         let serial_ns = t_call.elapsed().as_nanos() as u64;
 
         // Accumulate strictly in chunk order (= color-then-element order
@@ -532,8 +552,8 @@ impl StampExecutor {
     }
 
     /// Serial fallback once a worker has been lost: delegates to
-    /// [`MnaSystem::stamp_with`] with the *same* cache controls, the very
-    /// path parallel stamping is bit-identical to, so degradation never
+    /// [`MnaSystem::stamp_iter`] with the *same* cache controls, the very
+    /// kernel parallel stamping is bit-identical to, so degradation never
     /// changes results.
     fn stamp_serial(
         &mut self,
@@ -541,10 +561,11 @@ impl StampExecutor {
         input: &StampInput<'_>,
         x_iter: &[f64],
         ctl: &CacheCtl,
+        first_iter: bool,
         stats: &mut SimStats,
     ) -> StampResult {
         let t0 = Instant::now();
-        let res = self.sys.stamp_with(ws, input, x_iter, ctl);
+        let res = self.sys.stamp_iter(ws, input, x_iter, ctl, first_iter);
         let ns = t0.elapsed().as_nanos();
         stats.stamp_ns += ns;
         stats.stamp_modeled_ns += ns;

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use wavepipe_circuit::generators;
 use wavepipe_engine::{
-    run_transient_compiled, FaultHandle, MetricsHandle, MnaSystem, ProbeHandle, SimOptions,
-    SimStats, StampExecutor, StampInput,
+    run_transient_compiled, FaultHandle, IntegCoeffs, Method, MetricsHandle, MnaSystem,
+    ProbeHandle, SimOptions, SimStats, StampExecutor, StampInput,
 };
 
 /// Deterministic pseudo-random iterate: enough structure to push junctions
@@ -151,4 +151,69 @@ fn executor_declines_zero_workers_and_empty_systems() {
     let sys = Arc::new(MnaSystem::compile(&b.circuit).unwrap());
     assert!(StampExecutor::new(&sys, 0, &FaultHandle::none()).is_none());
     assert!(StampExecutor::new(&sys, 2, &FaultHandle::none()).is_some());
+}
+
+/// The executor's worker-loss fallback hands the rest of a Newton point to
+/// the serial kernel mid-solve, so parallel and serial stamps can alternate
+/// on one workspace within one time point, with the linear-RHS replay active
+/// after the first iteration. Each stamp of such a mixed sequence must match,
+/// bit for bit, a serial stamp that walks the linear devices every time.
+#[test]
+fn parallel_and_serial_stamps_alternate_within_a_point() {
+    for b in generators::small_suite() {
+        let sys = Arc::new(MnaSystem::compile(&b.circuit).expect("compile"));
+        let n = sys.n_unknowns();
+        let (xp, xp2) = (iterate(n, 0.4), iterate(n, 0.6));
+        let caps = vec![1e-6; sys.cap_state_count()];
+        let input = StampInput {
+            time: 2e-9,
+            coeffs: Some(IntegCoeffs::new(Method::Trapezoidal, 1e-10, 1e-10)),
+            x_prev: &xp,
+            x_prev2: &xp2,
+            cap_currents: &caps,
+            gmin: 1e-12,
+            gshunt: 0.0,
+            source_scale: 1.0,
+            ic_mode: false,
+        };
+        let ctl = SimOptions::default().with_bypass(true).with_companion_cache(true).cache_ctl();
+        let x1 = iterate(n, 1.3);
+        let x1_mixed: Vec<f64> =
+            x1.iter().enumerate().map(|(i, v)| v + if i % 2 == 0 { 1e-9 } else { 1e-2 }).collect();
+        let iterates = [iterate(n, 1.0), x1.clone(), x1, x1_mixed, iterate(n, 1.7)];
+        for parallel_first in [true, false] {
+            let Some(mut exec) = StampExecutor::new(&sys, 2, &FaultHandle::none()) else {
+                return; // no devices: nothing to compare
+            };
+            let (probe, metrics, mut stats) =
+                (ProbeHandle::none(), MetricsHandle::none(), SimStats::new());
+            let mut ws_ref = sys.new_workspace();
+            let mut ws_mix = sys.new_workspace();
+            for (it, x) in iterates.iter().enumerate() {
+                let first = it == 0;
+                let res_ref = sys.stamp_with(&mut ws_ref, &input, x, &ctl);
+                let res_mix = if (it % 2 == 0) == parallel_first {
+                    exec.stamp_iter(
+                        &mut ws_mix,
+                        &input,
+                        x,
+                        &ctl,
+                        first,
+                        &probe,
+                        &metrics,
+                        &mut stats,
+                    )
+                } else {
+                    sys.stamp_iter(&mut ws_mix, &input, x, &ctl, first)
+                };
+                let ctx = format!("{} iteration {it} parallel_first {parallel_first}", b.name);
+                assert_eq!(res_ref, res_mix, "{ctx}: stamp result");
+                assert_eq!(ws_ref.limited, ws_mix.limited, "{ctx}: limited flag");
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(ws_ref.matrix.values()), bits(ws_mix.matrix.values()), "{ctx}");
+                assert_eq!(bits(&ws_ref.rhs), bits(&ws_mix.rhs), "{ctx}: rhs");
+                assert_eq!(bits(&ws_ref.junction_state), bits(&ws_mix.junction_state), "{ctx}");
+            }
+        }
+    }
 }

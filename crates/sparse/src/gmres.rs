@@ -106,10 +106,15 @@ pub fn gmres(
     let m = opts.restart.max(1).min(n.max(1));
     let bnorm = norm2(b);
     if bnorm == 0.0 {
-        // The unique minimizer of a zero right-hand side.
+        // Either the zero right-hand side, whose unique minimizer is zero,
+        // or one so small (every entry below ~1e-154) that its squared norm
+        // underflows. In the second case every residual norm underflows
+        // too and the iteration cannot measure its own progress, so it
+        // returns unconverged without trying, like `max_iters = 0`.
+        let zero = b.iter().all(|&v| v == 0.0);
         x.fill(0.0);
         return Ok(GmresOutcome {
-            converged: true,
+            converged: zero,
             stagnated: false,
             iterations: 0,
             restarts: 0,
@@ -410,6 +415,18 @@ mod tests {
             gmres(&a, &IdentityPrecond::new(2), &[0.0, 0.0], &mut x, &GmresOptions::default())
                 .unwrap();
         assert!(out.converged);
+        assert_eq!(x, vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn underflowing_rhs_norm_returns_unconverged() {
+        // ‖b‖₂ underflows to zero although b is not zero: claiming the zero
+        // solution would be wrong, so the caller must get a failure.
+        let a = diag(&[2.0, 3.0]);
+        let b = [1e-300, -1e-298];
+        let (x, out) = solve(&a, &b, &GmresOptions::default());
+        assert!(!out.converged, "{out:?}");
+        assert_eq!(out.iterations, 0);
         assert_eq!(x, vec![0.0, 0.0]);
     }
 

@@ -211,3 +211,25 @@ fn sensitivity_via_facade() {
     assert!((res.value - 6.0).abs() < 1e-6);
     assert_eq!(res.ranked()[0].element, "v1");
 }
+
+#[test]
+fn deck_with_degenerate_pulse_period_completes() {
+    // A PULSE period below an ulp of its delay must stall neither the
+    // breakpoint enumeration nor any solver backend (the source then
+    // evaluates to ~1e-298 volts).
+    let deck = "\
+degenerate pulse period
+Vin in 0 PULSE(0 3.3 1n 0.2n 0.2n 4n 1e-308)
+R1 in out 1k
+C1 out 0 1p
+.tran 0.1n 20n
+.end";
+    let parsed = parse_netlist(deck).expect("parse");
+    let tran = parsed.tran.expect("tran");
+    let res = run_transient(&parsed.circuit, tran.tstep, tran.tstop, &SimOptions::default())
+        .expect("simulate");
+    assert_eq!(*res.times().last().unwrap(), tran.tstop);
+    for k in 0..res.len() {
+        assert!(res.solution(k).iter().all(|v| v.is_finite()), "non-finite at point {k}");
+    }
+}

@@ -6,6 +6,9 @@
 use std::sync::Arc;
 use wavepipe::circuit::generators;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
+use wavepipe::engine::{
+    run_transient, FaultPlan, MetricsHandle, MetricsRegistry, MnaSystem, SimOptions,
+};
 use wavepipe::telemetry::{chrome, json, jsonl, EventKind, Probe, ProbeHandle, RecordingProbe};
 
 fn traced_run(
@@ -98,4 +101,36 @@ fn serial_engine_emits_balanced_solve_spans() {
     let summary = probe.summary().unwrap();
     assert_eq!(summary.points_accepted as usize, accepted);
     assert_eq!(summary.active_lanes(), 1);
+}
+
+/// Per-class tallies are read from the bypass mask each stamp pass leaves
+/// behind, so every stamp path must write it: the serial kernel, the
+/// colored executor, and the executor after a worker loss degraded it to
+/// the serial kernel mid-run.
+#[test]
+fn per_class_metrics_match_stamp_counters() {
+    let b = generators::inverter_chain(6);
+    let nl = MnaSystem::compile(&b.circuit).unwrap().nonlinear_device_count();
+    for (what, workers, faults) in [
+        ("serial", 0, FaultPlan::new()),
+        ("colored x2", 2, FaultPlan::new()),
+        ("colored x2, worker lost", 2, FaultPlan::new().with_stamp_panic(0, 5)),
+    ] {
+        let registry = MetricsRegistry::shared();
+        let opts = SimOptions::default()
+            .with_stamp_workers(workers)
+            .with_bypass(true)
+            .with_faults(faults)
+            .with_metrics(MetricsHandle::new(registry.clone()));
+        let res = run_transient(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
+        let stats = res.stats();
+        let snap = registry.snapshot();
+        let sum = |family: &str| -> u64 {
+            snap.labeled.iter().filter(|lv| lv.family == family).map(|lv| lv.value).sum()
+        };
+        assert!(stats.bypass_hits > 0, "{what}: the run never bypassed a device");
+        assert_eq!(sum("class_bypassed"), stats.bypass_hits as u64, "{what}: bypassed");
+        let nl_evals = nl * stats.newton_iterations - stats.bypass_hits;
+        assert_eq!(sum("class_evals"), nl_evals as u64, "{what}: nonlinear evaluations");
+    }
 }
