@@ -13,7 +13,8 @@
 use proptest::prelude::*;
 use wavepipe_batch::{BatchSim, ParamKind};
 use wavepipe_circuit::{Circuit, Element, MosModel, Waveform};
-use wavepipe_engine::{run_transient, SimOptions, SolverHandle};
+use wavepipe_engine::telemetry::Counter;
+use wavepipe_engine::{run_transient, MetricsHandle, MetricsRegistry, SimOptions, SolverHandle};
 
 const VDD: f64 = 3.3;
 const TSTEP: f64 = 0.02e-9;
@@ -213,5 +214,38 @@ fn nominal_corner_is_bitwise_identical() {
         for (g, w) in got.iter().zip(&refs) {
             assert_bitwise_equal(g, w, &format!("workers={workers}"));
         }
+    }
+}
+
+/// The lane tier publishes its scalar counters as group-end aggregates,
+/// the classic path live per point and per solve: both must count the same
+/// work, so moving the accept path cannot drop or double-count a counter.
+/// Only the lane-occupancy counters differ by construction.
+#[test]
+fn lane_tier_counters_match_the_classic_path() {
+    let corners: Vec<Corner> = (0..5)
+        .map(|i| Corner {
+            kp_n: 0.8e-4 + 0.1e-4 * f64::from(i),
+            vt0_p: -0.6 - 0.05 * f64::from(i),
+            cl: 15e-15 + 5e-15 * f64::from(i),
+        })
+        .collect();
+    let counters = |simd: bool| {
+        let registry = MetricsRegistry::shared();
+        let opts = pinned_opts().with_metrics(MetricsHandle::new(registry.clone()));
+        let batch = batch_sim(&corners, 1).with_sim(opts).with_simd(simd).with_lane_width(4);
+        let packed = batch.lane_width_in_use() > 0;
+        batch.run().expect("batch run");
+        assert_eq!(registry.get(Counter::LaneGroups) > 0, packed, "simd={simd}");
+        registry
+    };
+    let lanes = counters(true);
+    let classic = counters(false);
+    assert!(classic.get(Counter::PointsAccepted) > 0);
+    for c in Counter::ALL {
+        if matches!(c, Counter::LaneGroups | Counter::LanePackedSolves | Counter::LaneEjections) {
+            continue;
+        }
+        assert_eq!(lanes.get(c), classic.get(c), "counter {}", c.name());
     }
 }

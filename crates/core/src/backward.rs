@@ -25,10 +25,10 @@
 
 use crate::options::Scheme;
 use crate::options::WavePipeOptions;
-use crate::pipeline::{drive, usable_prefix, Commit, Driver, Task};
+use crate::pipeline::{drive, usable_prefix, Driver, Task};
 use crate::report::{RunOutcome, WavePipeReport};
 use wavepipe_circuit::Circuit;
-use wavepipe_engine::Result;
+use wavepipe_engine::{Result, Verdict};
 use wavepipe_telemetry::{Counter, DiscardReason, EventKind};
 
 /// Runs a backward-pipelined transient analysis.
@@ -73,11 +73,11 @@ pub fn run_backward_recoverable(
 /// Same failure modes as the serial engine.
 pub(crate) fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
     let wp = drv.wp.clone();
-    drv.h = drv.h.clamp(drv.hmin, drv.hmax);
+    drv.step.begin(drv.hw.t())?;
     // Ladder with LTE-budget-limited width (full width in growth phases,
     // base-only when error-bound).
     let targets = drv.backward_ladder(width);
-    let (targets, hit) = drv.clip_targets(&targets);
+    let (targets, hit) = drv.step.clip_targets(drv.hw.t(), &targets);
     wp.sim.probe.emit(drv.hw.t(), EventKind::RoundStart { width: targets.len() as u32 });
 
     // All tasks share the same (true) history snapshot.
@@ -97,7 +97,7 @@ pub(crate) fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
     for (i, sol) in solutions.iter().enumerate() {
         let h_attempt = sol.coeffs.h;
         match drv.try_commit(sol) {
-            Commit::Accepted { h_next } => {
+            Verdict::Accept { .. } => {
                 committed += 1;
                 if i > 0 {
                     drv.lead_accepted += 1;
@@ -105,37 +105,24 @@ pub(crate) fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
                     wp.sim.probe.emit(sol.t, EventKind::LeadAccepted);
                     wp.sim.metrics.inc(Counter::LeadAccepted);
                 }
-                drv.h = h_next;
             }
-            Commit::RejectedLte { h_retry } => {
+            Verdict::RejectLte { h_retry } => {
                 if i == 0 {
-                    drv.base_lte_reject(h_attempt, h_retry);
+                    drv.step.reject_lte(&mut drv.hw, h_attempt, h_retry, &mut drv.total, &wp.sim);
                 } else {
-                    drv.lead_rejected += 1;
-                    drv.note_lead(false);
-                    wp.sim.probe.emit(
-                        sol.t,
-                        EventKind::LeadDiscarded { reason: DiscardReason::LteRejected },
-                    );
-                    wp.sim.metrics.inc(Counter::LeadDiscarded);
+                    drv.reject_lead(sol.t, DiscardReason::LteRejected);
                     // The accepted prefix stands. The failed lead's retry
                     // proposal is relative to its larger stride, so it must
                     // not override a smaller base proposal.
-                    drv.h = drv.h.min(h_retry).max(drv.hmin);
+                    drv.step.h = drv.step.h.min(h_retry).max(drv.step.hmin());
                 }
                 break;
             }
-            Commit::RejectedNewton => {
+            Verdict::Unconverged | Verdict::NonFinite => {
                 if i == 0 {
                     rescued_commits += usize::from(drv.newton_backoff(h_attempt, sol.iterations)?);
                 } else {
-                    drv.lead_rejected += 1;
-                    drv.note_lead(false);
-                    wp.sim.probe.emit(
-                        sol.t,
-                        EventKind::LeadDiscarded { reason: DiscardReason::NewtonRejected },
-                    );
-                    wp.sim.metrics.inc(Counter::LeadDiscarded);
+                    drv.reject_lead(sol.t, DiscardReason::NewtonRejected);
                 }
                 break;
             }
@@ -145,7 +132,7 @@ pub(crate) fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
     // The horizon (breakpoint) target is always last in the clipped
     // ladder, so landing happened iff every target committed.
     if hit && committed == targets.len() {
-        drv.handle_breakpoint_landing();
+        drv.step.land(&mut drv.hw);
     }
     let committed = committed + rescued_commits;
     wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });

@@ -9,10 +9,10 @@
 
 use crate::forward::{prediction_close, speculate_next};
 use crate::options::{Scheme, WavePipeOptions};
-use crate::pipeline::{drive, usable_prefix, Commit, Driver, Task};
+use crate::pipeline::{drive, usable_prefix, Driver, Task};
 use crate::report::{RunOutcome, WavePipeReport};
 use wavepipe_circuit::Circuit;
-use wavepipe_engine::Result;
+use wavepipe_engine::{Result, Verdict};
 use wavepipe_telemetry::{Counter, DiscardReason, EventKind};
 
 /// Runs the combined backward+forward pipelined transient analysis.
@@ -69,7 +69,7 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
     let wp = drv.wp.clone();
     let bp_width = width.saturating_sub(1).max(1);
     {
-        drv.h = drv.h.clamp(drv.hmin, drv.hmax);
+        drv.step.begin(drv.hw.t())?;
         // Backward ladder (LTE-budget-limited) plus one forward target —
         // but only when the ladder actually has leads: on base-only
         // (error-bound) rounds, speculating ahead commits sub-optimal
@@ -86,10 +86,11 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
         if speculate && ladder_len >= 2 {
             let last = *targets.last().expect("non-empty ladder");
             let prev = targets[ladder_len - 2];
-            let fwd_gap = ((last - prev) * wp.fp_stride_factor).clamp(drv.hmin, drv.hmax);
+            let fwd_gap =
+                ((last - prev) * wp.fp_stride_factor).clamp(drv.step.hmin(), drv.step.hmax());
             targets.push(last + fwd_gap);
         }
-        let (targets, hit) = drv.clip_targets(&targets);
+        let (targets, hit) = drv.step.clip_targets(drv.hw.t(), &targets);
         wp.sim.probe.emit(drv.hw.t(), EventKind::RoundStart { width: targets.len() as u32 });
         let n_bp_targets = targets.len().min(ladder_len);
         let has_fwd = targets.len() > ladder_len;
@@ -120,31 +121,30 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
         for (i, sol) in solutions[..solutions.len().min(n_bp_targets)].iter().enumerate() {
             let h_attempt = sol.coeffs.h;
             match drv.try_commit(sol) {
-                Commit::Accepted { h_next } => {
+                Verdict::Accept { .. } => {
                     committed += 1;
                     if i > 0 {
                         drv.lead_accepted += 1;
                         wp.sim.probe.emit(sol.t, EventKind::LeadAccepted);
                         wp.sim.metrics.inc(Counter::LeadAccepted);
                     }
-                    drv.h = h_next;
                 }
-                Commit::RejectedLte { h_retry } => {
+                Verdict::RejectLte { h_retry } => {
                     if i == 0 {
-                        drv.base_lte_reject(h_attempt, h_retry.max(drv.hmin));
-                    } else {
-                        drv.lead_rejected += 1;
-                        drv.note_lead(false);
-                        wp.sim.probe.emit(
-                            sol.t,
-                            EventKind::LeadDiscarded { reason: DiscardReason::LteRejected },
+                        drv.step.reject_lte(
+                            &mut drv.hw,
+                            h_attempt,
+                            h_retry,
+                            &mut drv.total,
+                            &wp.sim,
                         );
-                        wp.sim.metrics.inc(Counter::LeadDiscarded);
-                        drv.h = drv.h.min(h_retry).max(drv.hmin);
+                    } else {
+                        drv.reject_lead(sol.t, DiscardReason::LteRejected);
+                        drv.step.h = drv.step.h.min(h_retry).max(drv.step.hmin());
                     }
                     break;
                 }
-                Commit::RejectedNewton => {
+                Verdict::Unconverged | Verdict::NonFinite => {
                     if i == 0 {
                         // A rescued point counts toward the round's commits
                         // but is *not* the ladder target, so it must not
@@ -153,13 +153,7 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
                         rescued_commits +=
                             usize::from(drv.newton_backoff(h_attempt, sol.iterations)?);
                     } else {
-                        drv.lead_rejected += 1;
-                        drv.note_lead(false);
-                        wp.sim.probe.emit(
-                            sol.t,
-                            EventKind::LeadDiscarded { reason: DiscardReason::NewtonRejected },
-                        );
-                        wp.sim.metrics.inc(Counter::LeadDiscarded);
+                        drv.reject_lead(sol.t, DiscardReason::NewtonRejected);
                     }
                     break;
                 }
@@ -183,14 +177,13 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
                 let refined = drv.refine_solve(spec.t, &spec.x, wp.fp_refine_iters)?;
                 drv.account_sequential(&refined.stats);
                 match drv.try_commit(&refined) {
-                    Commit::Accepted { h_next } => {
+                    Verdict::Accept { .. } => {
                         drv.spec_accepted += 1;
                         wp.sim.probe.emit(refined.t, EventKind::SpeculationAccepted);
                         wp.sim.metrics.inc(Counter::SpeculationAccepted);
-                        drv.h = h_next;
                         committed += 1;
                     }
-                    Commit::RejectedLte { h_retry } => {
+                    Verdict::RejectLte { h_retry } => {
                         drv.total.steps_rejected_lte += 1;
                         drv.spec_rejected += 1;
                         wp.sim.probe.emit(
@@ -198,10 +191,10 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
                             EventKind::SpeculationDiscarded { reason: DiscardReason::LteRejected },
                         );
                         wp.sim.metrics.inc(Counter::SpeculationDiscarded);
-                        drv.h = h_retry;
+                        drv.step.h = h_retry;
                         committed_all = false;
                     }
-                    Commit::RejectedNewton => {
+                    Verdict::Unconverged | Verdict::NonFinite => {
                         drv.spec_rejected += 1;
                         wp.sim.probe.emit(
                             refined.t,
@@ -229,7 +222,7 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
         }
 
         if hit && committed_all {
-            drv.handle_breakpoint_landing();
+            drv.step.land(&mut drv.hw);
         }
         let committed = committed + rescued_commits;
         wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });

@@ -20,10 +20,10 @@
 //! LTE test as the serial engine.
 
 use crate::options::{Scheme, WavePipeOptions};
-use crate::pipeline::{drive, usable_prefix, Commit, Driver, Task};
+use crate::pipeline::{drive, usable_prefix, Driver, Task};
 use crate::report::{RunOutcome, WavePipeReport};
 use wavepipe_circuit::Circuit;
-use wavepipe_engine::{HistoryWindow, PointSolution, Result};
+use wavepipe_engine::{HistoryWindow, PointSolution, Result, Verdict};
 use wavepipe_sparse::vector::wrms_norm;
 use wavepipe_telemetry::{Counter, DiscardReason, EventKind};
 
@@ -110,19 +110,19 @@ pub fn run_forward_recoverable(
 pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
     let wp = drv.wp.clone();
     {
-        drv.h = drv.h.clamp(drv.hmin, drv.hmax);
+        drv.step.begin(drv.hw.t())?;
         // Target ladder: follow the stride trajectory serial would take —
         // the recent LTE growth prediction — scaled by the ablation knob.
         let growth = (drv.last_growth.clamp(1.0, wp.sim.rmax) * wp.fp_stride_factor).max(0.1);
         let mut targets = Vec::with_capacity(width);
         let mut t = drv.hw.t();
-        let mut gap = drv.h;
+        let mut gap = drv.step.h;
         for _ in 0..width {
             t += gap;
             targets.push(t);
-            gap = (gap * growth).clamp(drv.hmin, drv.hmax);
+            gap = (gap * growth).clamp(drv.step.hmin(), drv.step.hmax());
         }
-        let (targets, hit) = drv.clip_targets(&targets);
+        let (targets, hit) = drv.step.clip_targets(drv.hw.t(), &targets);
         wp.sim.probe.emit(drv.hw.t(), EventKind::RoundStart { width: targets.len() as u32 });
 
         // Build the speculative chain of windows.
@@ -147,20 +147,17 @@ pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
         let base = &solutions[0];
         let h_attempt = base.coeffs.h;
         let mut truth = match drv.try_commit(base) {
-            Commit::Accepted { h_next } => {
-                drv.h = h_next;
-                base.x.clone()
-            }
-            Commit::RejectedLte { h_retry } => {
+            Verdict::Accept { .. } => base.x.clone(),
+            Verdict::RejectLte { h_retry } => {
                 drv.spec_rejected += solutions.len() - 1;
                 if solutions.len() > 1 {
                     emit_chain_discard(drv, &solutions, 1, DiscardReason::ChainBroken);
                 }
-                drv.base_lte_reject(h_attempt, h_retry);
+                drv.step.reject_lte(&mut drv.hw, h_attempt, h_retry, &mut drv.total, &wp.sim);
                 wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: 0 });
                 return Ok(0);
             }
-            Commit::RejectedNewton => {
+            Verdict::Unconverged | Verdict::NonFinite => {
                 drv.spec_rejected += solutions.len() - 1;
                 if solutions.len() > 1 {
                     emit_chain_discard(drv, &solutions, 1, DiscardReason::ChainBroken);
@@ -203,23 +200,22 @@ pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
                 break;
             }
             match drv.try_commit(&refined) {
-                Commit::Accepted { h_next } => {
+                Verdict::Accept { .. } => {
                     drv.spec_accepted += 1;
                     wp.sim.probe.emit(refined.t, EventKind::SpeculationAccepted);
                     wp.sim.metrics.inc(Counter::SpeculationAccepted);
                     committed += 1;
-                    drv.h = h_next;
                     truth = refined.x.clone();
                 }
-                Commit::RejectedLte { h_retry } => {
+                Verdict::RejectLte { h_retry } => {
                     drv.total.steps_rejected_lte += 1;
                     drv.spec_rejected += solutions.len() - i;
                     emit_chain_discard(drv, &solutions, i, DiscardReason::LteRejected);
-                    drv.h = h_retry;
+                    drv.step.h = h_retry;
                     committed_all = false;
                     break;
                 }
-                Commit::RejectedNewton => {
+                Verdict::Unconverged | Verdict::NonFinite => {
                     drv.spec_rejected += solutions.len() - i;
                     emit_chain_discard(drv, &solutions, i, DiscardReason::NewtonRejected);
                     committed_all = false;
@@ -229,7 +225,7 @@ pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
         }
 
         if hit && committed_all {
-            drv.handle_breakpoint_landing();
+            drv.step.land(&mut drv.hw);
         }
         wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });
         Ok(committed)

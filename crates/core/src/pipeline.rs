@@ -1,6 +1,6 @@
 //! Shared machinery for the pipelining schemes: the run driver (history,
-//! breakpoints, step control, commit logic identical to the serial engine)
-//! and the concurrent round executor.
+//! the serial engine's own `StepControl` and commit path, and the pipeline's
+//! lead-placement state) and the concurrent round executor.
 
 use crate::options::{Scheme, WavePipeOptions};
 use crate::report::WavePipeReport;
@@ -8,12 +8,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 use wavepipe_circuit::Circuit;
-use wavepipe_engine::lte::lte_step_control;
 use wavepipe_engine::{
-    EngineError, HistoryWindow, MnaSystem, PointSolution, PointSolver, Result, SimOptions,
-    SimStats, TransientResult,
+    accept_point, EngineError, HistoryWindow, MnaSystem, PointSolution, PointSolver, Result,
+    SimOptions, SimStats, StepControl, TransientResult, Verdict,
 };
-use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Family, Gauge, Series};
+use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Family, Gauge};
 
 /// Static label for a scheme, for metric families (avoids a per-point
 /// `to_string` allocation on the accept path).
@@ -211,22 +210,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Outcome of attempting to commit one candidate point.
-pub(crate) enum Commit {
-    /// Point accepted; `h_next` is the LTE-proposed next step.
-    Accepted {
-        /// Proposed next step size.
-        h_next: f64,
-    },
-    /// Rejected by the LTE test; retry with `h_retry`.
-    RejectedLte {
-        /// Suggested retry step.
-        h_retry: f64,
-    },
-    /// Newton did not converge (or produced non-finite values).
-    RejectedNewton,
-}
-
 /// The per-run driver: everything the scheme loops share.
 pub(crate) struct Driver {
     pub sys: Arc<MnaSystem>,
@@ -235,15 +218,9 @@ pub(crate) struct Driver {
     pub lead: PointSolver,
     pool: WorkerPool,
     pub wp: WavePipeOptions,
-    pub tstep: f64,
-    pub tstop: f64,
-    pub hmin: f64,
-    pub hmax: f64,
-    bps: Vec<f64>,
-    next_bp: usize,
+    /// The serial engine's step policy; its `h` is the base step proposal.
+    pub step: StepControl,
     pub hw: HistoryWindow,
-    /// Current base step proposal.
-    pub h: f64,
     /// LTE growth factor observed at the last accepted point (used by the
     /// adaptive backward-lead placement).
     pub last_growth: f64,
@@ -255,9 +232,6 @@ pub(crate) struct Driver {
     /// Hysteresis state: whether deep ladders / speculation are currently
     /// enabled (flips at lead-EMA 0.45 up / 0.25 down).
     deep_mode: bool,
-    /// Consecutive base-point LTE rejections (escape hatch for error floors,
-    /// mirroring the serial engine's backward-Euler restart).
-    lte_reject_streak: usize,
     pub result: TransientResult,
     pub total: SimStats,
     pub critical_work: u64,
@@ -279,14 +253,9 @@ impl Driver {
     /// Compiles the circuit, solves the operating point (counted on the
     /// critical path — it is inherently sequential), and prepares the run.
     pub fn new(circuit: &Circuit, tstep: f64, tstop: f64, wp: &WavePipeOptions) -> Result<Self> {
-        if !(tstop > 0.0 && tstop.is_finite()) {
-            return Err(EngineError::BadParameter { name: "tstop", value: tstop });
-        }
-        if !(tstep > 0.0 && tstep.is_finite()) {
-            return Err(EngineError::BadParameter { name: "tstep", value: tstep });
-        }
         let run_start = Instant::now();
         let sys = Arc::new(MnaSystem::compile(circuit)?);
+        let step = StepControl::new(&sys, tstep, tstop, &wp.sim)?;
         let width = wp.width();
         // Each lane (lead + pool workers) gets the per-lane engine options,
         // so the thread budget splits lanes x stamp workers.
@@ -306,11 +275,6 @@ impl Driver {
         // engine: a zero budget still yields the `t = 0` point.
         wp.sim.arm_deadline();
         let hw = HistoryWindow::start(x0, sys.cap_state_count());
-
-        let bps = sys.breakpoints(tstop);
-        let hmin = wp.sim.hmin(tstop);
-        let hmax = wp.sim.hmax(tstop);
-        let h = tstep.min(hmax).min(tstop / 100.0).max(hmin);
         let critical_work = dc_stats.work_units();
         let critical_ns = dc_stats.wall_ns;
 
@@ -319,19 +283,12 @@ impl Driver {
             lead,
             pool,
             wp: wp.clone(),
-            tstep,
-            tstop,
-            hmin,
-            hmax,
-            bps,
-            next_bp: 0,
+            step,
             hw,
-            h,
             last_growth: 1.0,
             last_ratio: 0.5,
             lead_ema: 0.5,
             deep_mode: true,
-            lte_reject_streak: 0,
             result,
             total: dc_stats,
             critical_work,
@@ -524,101 +481,30 @@ impl Driver {
 
     /// `true` once the simulation reached `tstop`.
     pub fn done(&self) -> bool {
-        self.hw.t() >= self.tstop - 0.5 * self.hmin
+        self.step.done(self.hw.t())
     }
 
-    /// The next un-passed breakpoint (or `tstop`). Also advances past any
-    /// breakpoints the history has already crossed.
-    pub fn horizon(&mut self) -> f64 {
-        while self.next_bp < self.bps.len()
-            && self.bps[self.next_bp] <= self.hw.t() + 0.5 * self.hmin
-        {
-            self.next_bp += 1;
-        }
-        self.bps.get(self.next_bp).copied().unwrap_or(self.tstop).min(self.tstop)
-    }
-
-    /// Clips an ascending target list at the horizon: targets beyond it are
-    /// dropped and the last kept target snaps onto it. Returns the clipped
-    /// list and whether the final target sits on the horizon (a breakpoint
-    /// or `tstop`).
-    pub fn clip_targets(&mut self, raw: &[f64]) -> (Vec<f64>, bool) {
-        let limit = self.horizon();
-        let mut out = Vec::with_capacity(raw.len());
-        let mut hit = false;
-        for &t in raw {
-            if t >= limit - 0.5 * self.hmin {
-                out.push(limit);
-                hit = true;
-                break;
-            }
-            out.push(t);
-        }
-        (out, hit)
-    }
-
-    /// Serial-identical commit test for a candidate: Newton convergence,
-    /// finiteness, and the LTE accept/reject with the *actual* integration
-    /// stride the candidate used.
-    pub fn try_commit(&mut self, sol: &PointSolution) -> Commit {
-        if !sol.converged || !wavepipe_sparse::vector::all_finite(&sol.x) {
-            return Commit::RejectedNewton;
-        }
-        let needed = sol.method.order() + 1;
-        let h_used = sol.coeffs.h;
-        if self.hw.usable_for_lte() >= needed {
-            let refs: Vec<&[f64]> =
-                self.hw.solutions()[..needed].iter().map(|v| v.as_slice()).collect();
-            let d = lte_step_control(
-                sol.method,
-                sol.t,
-                &sol.x,
-                h_used,
-                &self.hw.times()[..needed],
-                &refs,
-                &self.wp.sim,
-            );
-            if !d.accept && h_used > self.hmin * 1.01 {
-                return Commit::RejectedLte { h_retry: d.h_new };
-            }
-            self.lte_reject_streak = 0;
-            self.last_growth = (d.h_new / h_used).max(0.1);
-            self.last_ratio = d.ratio.max(1e-9);
+    /// Judges a candidate with the serial engine's [`StepControl::judge`] and
+    /// commits it when accepted. A non-finite converged candidate is
+    /// returned as [`Verdict::NonFinite`]; the schemes treat it like an
+    /// unconverged one, since a worker's solution may be poisoned.
+    pub fn try_commit(&mut self, sol: &PointSolution) -> Verdict {
+        let verdict = self.step.judge(&self.hw, sol, &self.wp.sim);
+        if let Verdict::Accept { h_next, ratio } = verdict {
+            (self.last_growth, self.last_ratio) = match ratio {
+                Some(r) => ((h_next / sol.coeffs.h).max(0.1), r.max(1e-9)),
+                None => (self.wp.sim.rmax, 1e-9),
+            };
             self.accept(sol);
-            Commit::Accepted { h_next: d.h_new }
-        } else {
-            self.last_growth = self.wp.sim.rmax;
-            self.last_ratio = 1e-9;
-            self.accept(sol);
-            Commit::Accepted { h_next: h_used * self.wp.sim.rmax }
         }
+        verdict
     }
 
     fn accept(&mut self, sol: &PointSolution) {
-        self.wp.sim.probe.emit(sol.t, EventKind::PointAccepted { h: sol.coeffs.h });
+        accept_point(sol, &mut self.hw, &mut self.result, &mut self.total, &self.wp.sim);
         let m = &self.wp.sim.metrics;
         if m.enabled() {
-            m.inc(Counter::PointsAccepted);
-            m.add_lane(Family::PointsByLane, 1);
             m.add_labeled(Family::PointsByScheme, scheme_label(self.wp.scheme), 1);
-            m.observe(Series::StepSize, sol.coeffs.h);
-            m.set_gauge(Gauge::CurrentH, sol.coeffs.h);
-        }
-        self.hw.accept(sol);
-        self.result.push(sol.t, &sol.x);
-        self.total.steps_accepted += 1;
-    }
-
-    /// Handles landing on the horizon: if it was a real breakpoint, restart
-    /// integration and shrink the step for the corner.
-    pub fn handle_breakpoint_landing(&mut self) {
-        let t = self.hw.t();
-        if self.next_bp < self.bps.len() && (self.bps[self.next_bp] - t).abs() <= 0.5 * self.hmin {
-            self.next_bp += 1;
-            self.hw.mark_discontinuity();
-            let to_next =
-                self.bps.get(self.next_bp).map_or(self.tstop - t, |&b| b - t).max(self.hmin);
-            self.h = self.h.min(self.tstep * 0.25).min((to_next * 0.25).max(self.hmin));
         }
     }
 
@@ -683,7 +569,7 @@ impl Driver {
         // where leads keep paying, the full configured slack applies.
         let budget = if self.wp.bp_adaptive_lead && self.wp.bp_budget_slack.is_finite() {
             let slack = 1.0 + (self.wp.bp_budget_slack - 1.0) * (self.lead_ema / 0.3).min(1.0);
-            self.h * (0.95 / self.last_ratio).powf(1.0 / (order + 1.0)) * slack
+            self.step.h * (0.95 / self.last_ratio).powf(1.0 / (order + 1.0)) * slack
         } else {
             f64::INFINITY
         };
@@ -704,34 +590,25 @@ impl Driver {
         let mut targets = Vec::with_capacity(width);
         let t0 = self.hw.t();
         let mut t = t0;
-        let mut gap = self.h;
+        let mut gap = self.step.h;
         for i in 0..width {
             t += gap;
             if i > 0 && t - t0 > budget {
                 break;
             }
             targets.push(t);
-            gap = (gap * growth).min(self.hmax);
+            gap = (gap * growth).min(self.step.hmax());
         }
         targets
     }
 
-    /// Handles an LTE rejection of the round's *base* point: mirrors the
-    /// serial engine exactly, including the backward-Euler restart escape
-    /// when the error estimate stops responding to step shrinks
-    /// (trapezoidal ringing / noise-dominated divided differences).
-    pub fn base_lte_reject(&mut self, h_attempt: f64, h_retry: f64) {
-        self.total.steps_rejected_lte += 1;
-        self.wp.sim.metrics.inc(Counter::LteRejects);
-        self.lte_reject_streak += 1;
-        let crawling = h_attempt < self.hmin * 1e3;
-        if self.lte_reject_streak >= 3 || crawling {
-            self.hw.mark_discontinuity();
-            self.lte_reject_streak = 0;
-            self.h = h_attempt;
-        } else {
-            self.h = h_retry;
-        }
+    /// Discards a backward lead its commit test rejected: counts it, feeds
+    /// the accept-rate EMA, and emits [`EventKind::LeadDiscarded`].
+    pub fn reject_lead(&mut self, t: f64, reason: DiscardReason) {
+        self.lead_rejected += 1;
+        self.note_lead(false);
+        self.wp.sim.probe.emit(t, EventKind::LeadDiscarded { reason });
+        self.wp.sim.metrics.inc(Counter::LeadDiscarded);
     }
 
     /// Records a lead-point outcome in the accept-rate EMA.
@@ -774,34 +651,22 @@ impl Driver {
     /// * [`EngineError::NoConvergence`] when every recovery rung failed.
     /// * Budget errors propagating out of a rescue solve.
     pub fn newton_backoff(&mut self, h_attempt: f64, failed_iters: usize) -> Result<bool> {
-        self.total.steps_rejected_newton += 1;
-        self.wp.sim.metrics.inc(Counter::NewtonRejects);
-        self.h = h_attempt * self.wp.sim.nr_shrink;
-        if self.h < self.hmin {
-            if !self.wp.sim.recovery {
-                return Err(EngineError::TimestepTooSmall {
-                    time: self.hw.t(),
-                    step: self.h,
-                    hmin: self.hmin,
-                });
-            }
-            // The ladder is inherently sequential work on the lead lane.
-            let mut rstats = SimStats::new();
-            let rescued = self.lead.rescue_point(
-                &self.hw,
-                h_attempt,
-                self.hmin,
-                failed_iters,
-                &mut rstats,
-            )?;
-            self.account_sequential(&rstats);
-            self.accept(&rescued);
-            self.hw.mark_discontinuity();
-            self.lte_reject_streak = 0;
-            self.h = self.hmin;
-            return Ok(true);
+        if !self.step.reject_newton(self.hw.t(), h_attempt, &mut self.total, &self.wp.sim)? {
+            return Ok(false);
         }
-        Ok(false)
+        // The ladder is inherently sequential work on the lead lane.
+        let mut rstats = SimStats::new();
+        let rescued = self.lead.rescue_point(
+            &self.hw,
+            h_attempt,
+            self.step.hmin(),
+            failed_iters,
+            &mut rstats,
+        )?;
+        self.account_sequential(&rstats);
+        self.accept(&rescued);
+        self.step.restart_after_rescue(&mut self.hw);
+        Ok(true)
     }
 
     /// Packages the run into a report.

@@ -6,18 +6,20 @@
 //!
 //! The classic per-instance path is `run_transient_recoverable_compiled`:
 //! DC solve, then a step loop of predict → stamp → factor/solve → converge →
-//! LTE-accept. This module re-implements only the *orchestration* of that
-//! loop; every numeric kernel is either the identical function
-//! ([`MnaSystem::stamp_iter`] — the one stamp kernel, which the classic
-//! Newton loop runs too — [`lte_step_control`], [`HistoryWindow`]
-//! predict/accept, [`MnaSystem::cap_currents_after`]) or a lane-packed kernel
-//! proven bit-equal to its scalar counterpart
+//! LTE-accept. This module splits each point's Newton solve into one
+//! iteration per tick so lanes can share the linear phase; the step policy
+//! is not re-implemented: each lane owns a [`StepControl`] and commits
+//! through [`accept_point`], exactly as the classic loop does. Every numeric
+//! kernel is either the identical function ([`MnaSystem::stamp_iter`] — the
+//! one stamp kernel, which the classic Newton loop runs too —
+//! [`HistoryWindow`] predict/accept, [`MnaSystem::cap_currents_after`]) or a
+//! lane-packed kernel proven bit-equal to its scalar counterpart
 //! ([`LanePackedLu::refactor_lanes`] / [`LanePackedLu::solve_lanes`] vs
 //! [`SparseLu::refactor`] / `solve_with_scratch` — see
-//! [`wavepipe_sparse::lanes`]). Each lane keeps private step size, history
-//! window, Newton iterate, chord key, and LTE streak, so control flow per
-//! lane replays the classic loop decision-for-decision; lanes only
-//! *synchronize* on bulk kernels, never on decisions.
+//! [`wavepipe_sparse::lanes`]). Each lane keeps private step control,
+//! history window, Newton iterate and chord key, so control flow per lane
+//! replays the classic loop decision-for-decision; lanes only *synchronize*
+//! on bulk kernels, never on decisions.
 //!
 //! Two escape hatches preserve identity on the paths this module does not
 //! mirror:
@@ -37,22 +39,16 @@ use std::time::Instant;
 use wavepipe_sparse::lanes::{LanePackedLu, LaneSolve, MAX_LANES};
 use wavepipe_sparse::vector::{all_finite, norm_inf};
 use wavepipe_sparse::{CscMatrix, LuOptions, Permutation, SparseError, SparseLu};
-use wavepipe_telemetry::Counter;
+use wavepipe_telemetry::{Counter, MetricsHandle};
 
 use crate::integrate::{IntegCoeffs, Method};
-use crate::lte::lte_step_control;
 use crate::mna::{LinKey, MnaSystem, MnaWorkspace, StampInput};
 use crate::options::{CacheCtl, SimOptions};
 use crate::result::TransientResult;
 use crate::stats::SimStats;
-use crate::transient::{state_coeffs, HistoryWindow, PointSolution, PointSolver};
-
-/// Engine-facing name for the lane-packed direct backend: K instances'
-/// numeric LU factors interleaved over one shared symbolic structure, with
-/// the factorization and triangular-solve inner loops shared across lanes.
-/// See [`wavepipe_sparse::lanes`] for the kernel and its bit-identity
-/// contract; [`run_lane_group`] is the driver that feeds it.
-pub use wavepipe_sparse::lanes::LanePackedLu as SimdBatchedLu;
+use crate::transient::{
+    accept_point, state_coeffs, HistoryWindow, PointSolution, PointSolver, StepControl, Verdict,
+};
 
 /// Per-instance outcome of [`run_lane_group`].
 #[derive(Debug)]
@@ -129,10 +125,7 @@ struct Lane {
     scratch: Vec<f64>,
     resid: Vec<f64>,
     rowsum: Vec<f64>,
-    bps: Vec<f64>,
-    next_bp: usize,
-    h: f64,
-    lte_streak: usize,
+    step: StepControl,
     phase: Phase,
     // Current point.
     t_new: f64,
@@ -176,14 +169,12 @@ impl Lane {
 /// Shared per-group context (identical across lanes by construction — the
 /// batch layer hands every instance the same options).
 struct GroupCtx {
+    /// The group's options with no metrics registry: the tick loop's counts
+    /// are published as aggregates at group end.
     opts: SimOptions,
     ctl: CacheCtl,
     lu_opts: LuOptions,
     ordering: Arc<Permutation>,
-    tstep: f64,
-    tstop: f64,
-    hmin: f64,
-    hmax: f64,
 }
 
 /// Runs up to [`MAX_LANES`] compiled instances to `tstop` through the
@@ -215,21 +206,21 @@ pub fn run_lane_group(
     debug_assert!(!opts.probe.enabled(), "lane tier does not mirror probe events");
     debug_assert!(!opts.faults.enabled(), "lane tier does not mirror fault injection");
     debug_assert_eq!(opts.stamp_workers, 0, "lane tier stamps serially");
-    if !(tstop > 0.0 && tstop.is_finite() && tstep > 0.0 && tstep.is_finite()) {
-        // The classic path rejects these with `BadParameter`; let the rerun
-        // produce that exact error.
+    let Ok(steps) = systems
+        .iter()
+        .map(|sys| StepControl::new(sys, tstep, tstop, opts))
+        .collect::<crate::Result<Vec<_>>>()
+    else {
+        // The classic path rejects the window with `BadParameter`; let the
+        // rerun produce that exact error.
         return (0..k).map(|_| LaneOutcome::Ejected).collect();
-    }
+    };
     let group_start = Instant::now();
     let g = GroupCtx {
-        opts: opts.clone(),
+        opts: SimOptions { metrics: MetricsHandle::none(), ..opts.clone() },
         ctl: opts.cache_ctl(),
         lu_opts: LuOptions::default(),
         ordering: Arc::clone(ordering),
-        tstep,
-        tstop,
-        hmin: opts.hmin(tstop),
-        hmax: opts.hmax(tstop),
     };
 
     // --- DC phase: the classic solver IS the DC path (bit-identity for
@@ -239,9 +230,9 @@ pub fn run_lane_group(
     let mut pack: Option<LanePackedLu> = None;
     let mut ejected = 0u64;
     let mut packed_solves = 0u64;
-    for sys in systems {
+    for (sys, step) in systems.iter().zip(steps) {
         let mut stats = SimStats::new();
-        let mut solver = PointSolver::new(Arc::clone(sys), g.opts.clone());
+        let mut solver = PointSolver::new(Arc::clone(sys), opts.clone());
         let x0 = match solver.initial_state(&mut stats) {
             Ok(x0) => x0,
             Err(_) => {
@@ -265,7 +256,7 @@ pub fn run_lane_group(
         result.push(0.0, &x0);
         let n = sys.n_unknowns();
         let hw = HistoryWindow::start(x0, sys.cap_state_count());
-        let h = tstep.min(g.hmax).min(tstop / 100.0).max(g.hmin);
+        let h = step.h;
         let mut lane = Lane {
             sys: Arc::clone(sys),
             ws,
@@ -281,10 +272,7 @@ pub fn run_lane_group(
             scratch,
             resid,
             rowsum: Vec::new(),
-            bps: sys.breakpoints(tstop),
-            next_bp: 0,
-            h,
-            lte_streak: 0,
+            step,
             phase: Phase::Begin,
             t_new: 0.0,
             hit_bp: false,
@@ -337,8 +325,8 @@ pub fn run_lane_group(
             ejected += 1;
         }
     }
-    if g.opts.metrics.enabled() {
-        let m = &g.opts.metrics;
+    if opts.metrics.enabled() {
+        let m = &opts.metrics;
         m.inc(Counter::LaneGroups);
         m.add(Counter::LanePackedSolves, packed_solves);
         m.add(Counter::LaneEjections, ejected);
@@ -733,35 +721,18 @@ fn verify_or_retry(
     false
 }
 
-/// Classic step-loop head + `solve_point` head: finish/eject checks, step
-/// clamping, breakpoint snapping, integration coefficients, predictor.
+/// Classic step-loop head + `solve_point` head: finish/eject checks and
+/// the step proposal, integration coefficients, predictor.
 fn begin_point(lane: &mut Lane, g: &GroupCtx) {
-    // Written as the negation of the classic loop-head guard
-    // (`while t < tstop - hmin/2`) so the two agree on every input,
-    // NaN included.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(lane.hw.t() < g.tstop - 0.5 * g.hmin) {
+    if lane.step.done(lane.hw.t()) {
         lane.phase = Phase::Finished;
         return;
     }
-    if !lane.h.is_finite() {
+    let Ok((t_new, hit_bp)) = lane.step.propose(lane.hw.t()) else {
         // Classic: NumericalBlowup — not mirrored; rerun classically.
         lane.phase = Phase::Ejected;
         return;
-    }
-    lane.h = lane.h.clamp(g.hmin, g.hmax);
-    let mut t_new = lane.hw.t() + lane.h;
-    let mut hit_bp = false;
-    while lane.next_bp < lane.bps.len() && lane.bps[lane.next_bp] <= lane.hw.t() + 0.5 * g.hmin {
-        lane.next_bp += 1;
-    }
-    if lane.next_bp < lane.bps.len() && t_new >= lane.bps[lane.next_bp] - 0.5 * g.hmin {
-        t_new = lane.bps[lane.next_bp];
-        hit_bp = true;
-    }
-    if t_new > g.tstop {
-        t_new = g.tstop;
-    }
+    };
     let h = t_new - lane.hw.t();
     let method = lane.hw.effective_method(g.opts.method);
     let h_prev = lane.hw.h_prev().unwrap_or(h);
@@ -776,23 +747,18 @@ fn begin_point(lane: &mut Lane, g: &GroupCtx) {
 }
 
 /// Classic `solve_point` tail + step-loop tail: cap-current propagation,
-/// rejection bookkeeping, LTE control, accept, breakpoint restart.
+/// then the lane's [`StepControl`] verdict and its accept or rejection.
 fn finish_point(lane: &mut Lane, converged: bool, g: &GroupCtx) {
-    let t_new = lane.t_new;
-    let h_attempt = t_new - lane.hw.t();
+    let h_attempt = lane.coeffs.h;
     if !converged {
         // note_rejection(): chord reuse must re-qualify.
         lane.key = None;
         lane.last_dx = None;
-        lane.stats.steps_rejected_newton += 1;
-        lane.h = h_attempt * g.opts.nr_shrink;
-        if lane.h < g.hmin {
-            // Classic: recovery ladder (or TimestepTooSmall) — not
-            // mirrored; the classic rerun reproduces it exactly.
-            lane.phase = Phase::Ejected;
-            return;
-        }
-        lane.phase = Phase::Begin;
+        // Below the floor the classic loop enters the recovery ladder (or
+        // fails with TimestepTooSmall) — not mirrored; the classic rerun
+        // reproduces it exactly.
+        let retry = lane.step.reject_newton(lane.hw.t(), h_attempt, &mut lane.stats, &g.opts);
+        lane.phase = if matches!(retry, Ok(false)) { Phase::Begin } else { Phase::Ejected };
         return;
     }
     let x_prev2: &[f64] = if lane.hw.solutions().len() >= 2 {
@@ -800,49 +766,13 @@ fn finish_point(lane: &mut Lane, converged: bool, g: &GroupCtx) {
     } else {
         &lane.hw.solutions()[0]
     };
-    let sc = state_coeffs(&lane.hw, t_new);
+    let sc = state_coeffs(&lane.hw, lane.t_new);
     let cap_currents =
         lane.sys.cap_currents_after(&sc, &lane.x, lane.hw.x(), x_prev2, lane.hw.cap_currents());
-    if !all_finite(&lane.x) {
-        // Classic: NumericalBlowup.
-        lane.phase = Phase::Ejected;
-        return;
-    }
-    let needed = lane.method.order() + 1;
-    if lane.hw.usable_for_lte() >= needed {
-        let refs: Vec<&[f64]> =
-            lane.hw.solutions()[..needed].iter().map(|v| v.as_slice()).collect();
-        let d = lte_step_control(
-            lane.method,
-            t_new,
-            &lane.x,
-            h_attempt,
-            &lane.hw.times()[..needed],
-            &refs,
-            &g.opts,
-        );
-        if !d.accept && h_attempt > g.hmin * 1.01 {
-            lane.stats.steps_rejected_lte += 1;
-            lane.lte_streak += 1;
-            let crawling = h_attempt < g.hmin * 1e3;
-            if lane.lte_streak >= 3 || crawling {
-                lane.hw.mark_discontinuity();
-                lane.lte_streak = 0;
-                lane.h = h_attempt;
-            } else {
-                lane.h = d.h_new;
-            }
-            lane.phase = Phase::Begin;
-            return;
-        }
-        lane.lte_streak = 0;
-        lane.h = d.h_new;
-    } else {
-        lane.h = h_attempt * g.opts.rmax;
-    }
+    // The iterate is dead past this point: the next `begin_point` reseeds it.
     let sol = PointSolution {
-        t: t_new,
-        x: lane.x.clone(),
+        t: lane.t_new,
+        x: std::mem::take(&mut lane.x),
         method: lane.method,
         coeffs: lane.coeffs,
         converged: true,
@@ -850,15 +780,19 @@ fn finish_point(lane: &mut Lane, converged: bool, g: &GroupCtx) {
         cap_currents,
         stats: SimStats::new(),
     };
-    lane.hw.accept(&sol);
-    lane.result.push(t_new, &sol.x);
-    lane.stats.steps_accepted += 1;
-    if lane.hit_bp {
-        lane.next_bp += 1;
-        lane.hw.mark_discontinuity();
-        let to_next =
-            lane.bps.get(lane.next_bp).map_or(g.tstop - lane.hw.t(), |&b| b - lane.hw.t());
-        lane.h = lane.h.min(g.tstep * 0.25).min((to_next * 0.25).max(g.hmin));
-    }
-    lane.phase = Phase::Begin;
+    lane.phase = match lane.step.judge(&lane.hw, &sol, &g.opts) {
+        Verdict::Accept { .. } => {
+            accept_point(&sol, &mut lane.hw, &mut lane.result, &mut lane.stats, &g.opts);
+            if lane.hit_bp {
+                lane.step.land(&mut lane.hw);
+            }
+            Phase::Begin
+        }
+        Verdict::RejectLte { h_retry } => {
+            lane.step.reject_lte(&mut lane.hw, h_attempt, h_retry, &mut lane.stats, &g.opts);
+            Phase::Begin
+        }
+        // Classic: NumericalBlowup.
+        Verdict::NonFinite | Verdict::Unconverged => Phase::Ejected,
+    };
 }

@@ -79,7 +79,7 @@ pub use error::{ConvergenceReport, EngineError, RecoveryRung, Result};
 pub use fault::{FaultHandle, FaultKind, FaultPlan};
 pub use integrate::{IntegCoeffs, Method};
 pub use krylov::{parse_ordering, GmresBackend, GmresConfig, KrylovStats};
-pub use lane::{run_lane_group, LaneOutcome, SimdBatchedLu};
+pub use lane::{run_lane_group, LaneOutcome};
 pub use mna::{MnaSystem, MnaWorkspace, StampInput, StampResult};
 pub use options::{CacheCtl, SimOptions};
 pub use parstamp::StampExecutor;
@@ -88,9 +88,9 @@ pub use sensitivity::{run_dc_sensitivity, SensitivityResult};
 pub use solver::{BatchedDirectLu, DirectLu, SolverBackend, SolverFactory, SolverHandle};
 pub use stats::SimStats;
 pub use transient::{
-    run_transient, run_transient_compiled, run_transient_recoverable,
-    run_transient_recoverable_compiled, HistoryWindow, PointSolution, PointSolver,
-    TransientOutcome,
+    accept_point, run_transient, run_transient_compiled, run_transient_recoverable,
+    run_transient_recoverable_compiled, HistoryWindow, PointSolution, PointSolver, StepControl,
+    TransientOutcome, Verdict,
 };
 pub use wavepipe_telemetry as telemetry;
 pub use wavepipe_telemetry::{MetricsHandle, MetricsRegistry, Probe, ProbeHandle, RecordingProbe};

@@ -63,7 +63,7 @@ pub struct LteDecision {
 ///
 /// The returned `h_new` is already clamped to the growth limit `opts.rmax`
 /// on accept, and to `[0.1, 0.9] * h` on reject.
-pub fn lte_step_control(
+pub(crate) fn lte_step_control(
     method: Method,
     t_new: f64,
     x_new: &[f64],

@@ -7,9 +7,14 @@
 //!   concurrent WavePipe tasks can each take a consistent snapshot.
 //! * [`PointSolver`] — solves one time point from a history window
 //!   (companion stamping + Newton). Cloneable: one per thread.
-//! * [`run_transient`] — the serial reference loop: breakpoint handling,
-//!   LTE accept/reject, step-size control. WavePipe reuses all the same
-//!   pieces, so its accepted points satisfy identical accuracy tests.
+//! * [`StepControl`] — the step policy: initial step, breakpoint snapping
+//!   and restart, LTE accept/reject with the error-floor escape, Newton
+//!   back-off into the recovery ladder. [`accept_point`] is the one commit
+//!   path.
+//! * [`run_transient`] — the serial reference loop. The lane tier
+//!   ([`crate::lane`]) and WavePipe's round driver run the same
+//!   `StepControl` and `accept_point`, so their accepted points satisfy
+//!   identical accuracy tests.
 
 use crate::dcop::dc_operating_point;
 use crate::error::{EngineError, Result};
@@ -410,46 +415,14 @@ impl PointSolver {
                 // exists to clear). The step controller shrinks to the floor
                 // and then enters the ladder; rescue solves are fault-exempt,
                 // so the rescue always lands.
-                let mut stats = SimStats::new();
-                stats.wall_ns += start.elapsed().as_nanos();
-                self.opts.probe.emit(
-                    t_new,
-                    EventKind::SolveEnd { iterations: max_iters as u32, converged: false },
-                );
-                self.publish_solve_metrics(max_iters, start);
-                return Ok(PointSolution {
-                    t: t_new,
-                    x: hw.xs[0].clone(),
-                    method,
-                    coeffs,
-                    converged: false,
-                    iterations: max_iters,
-                    cap_currents: Vec::new(),
-                    stats,
-                });
+                return Ok(self.abandoned(hw, t_new, coeffs, max_iters, SimStats::new(), start));
             }
             Some(FaultKind::SingularMatrix) => {
                 // Behave exactly like a genuinely singular companion matrix
                 // (the `EngineError::Linear` branch below): unconverged
                 // result, poisoned factorization dropped.
                 self.cache.invalidate();
-                let mut stats = SimStats::new();
-                stats.wall_ns += start.elapsed().as_nanos();
-                self.opts.probe.emit(
-                    t_new,
-                    EventKind::SolveEnd { iterations: max_iters as u32, converged: false },
-                );
-                self.publish_solve_metrics(max_iters, start);
-                return Ok(PointSolution {
-                    t: t_new,
-                    x: hw.xs[0].clone(),
-                    method,
-                    coeffs,
-                    converged: false,
-                    iterations: max_iters,
-                    cap_currents: Vec::new(),
-                    stats,
-                });
+                return Ok(self.abandoned(hw, t_new, coeffs, max_iters, SimStats::new(), start));
             }
             _ => {}
         }
@@ -487,22 +460,7 @@ impl PointSolver {
                 // non-convergence so the controller backs off; drop the
                 // (possibly poisoned) factorization.
                 self.cache.invalidate();
-                stats.wall_ns += start.elapsed().as_nanos();
-                self.opts.probe.emit(
-                    t_new,
-                    EventKind::SolveEnd { iterations: max_iters as u32, converged: false },
-                );
-                self.publish_solve_metrics(max_iters, start);
-                return Ok(PointSolution {
-                    t: t_new,
-                    x: hw.xs[0].clone(),
-                    method,
-                    coeffs,
-                    converged: false,
-                    iterations: max_iters,
-                    cap_currents: Vec::new(),
-                    stats,
-                });
+                return Ok(self.abandoned(hw, t_new, coeffs, max_iters, stats, start));
             }
             Err(e) => return Err(e),
         };
@@ -542,6 +500,36 @@ impl PointSolver {
         })
     }
 
+    /// The result of a solve abandoned before Newton finished (an injected
+    /// fault, a singular companion matrix): unconverged at the full
+    /// iteration budget, holding the previous solution.
+    #[cold]
+    fn abandoned(
+        &self,
+        hw: &HistoryWindow,
+        t_new: f64,
+        coeffs: IntegCoeffs,
+        max_iters: usize,
+        mut stats: SimStats,
+        start: Instant,
+    ) -> PointSolution {
+        stats.wall_ns += start.elapsed().as_nanos();
+        self.opts
+            .probe
+            .emit(t_new, EventKind::SolveEnd { iterations: max_iters as u32, converged: false });
+        self.publish_solve_metrics(max_iters, start);
+        PointSolution {
+            t: t_new,
+            x: hw.xs[0].clone(),
+            method: coeffs.method,
+            coeffs,
+            converged: false,
+            iterations: max_iters,
+            cap_currents: Vec::new(),
+            stats,
+        }
+    }
+
     /// Mirrors a finished point-solve into the metrics registry: scalar and
     /// per-lane solve counts plus the iteration / wall-time series. The
     /// wall-time series is timing data — anything that promises byte
@@ -569,15 +557,296 @@ fn publish_solve_metrics_cold(
 }
 
 /// Out-of-line publish of one accepted point: scalar and per-lane counts,
-/// the step-size series, and the live `current_h` gauge. `#[cold]` so the
-/// accept path of the step loop stays small when no registry is attached.
+/// the step-size series, and the live `current_h` gauge (the committed
+/// stride). `#[cold]` so the accept path stays small when no registry is
+/// attached.
 #[cold]
 #[inline(never)]
-fn publish_accept_metrics(m: &wavepipe_telemetry::MetricsHandle, h_committed: f64, h_next: f64) {
+fn publish_accept_metrics(m: &wavepipe_telemetry::MetricsHandle, h_used: f64, stride: f64) {
     m.inc(Counter::PointsAccepted);
     m.add_lane(Family::PointsByLane, 1);
-    m.observe(Series::StepSize, h_committed);
-    m.set_gauge(Gauge::CurrentH, h_next);
+    m.observe(Series::StepSize, h_used);
+    m.set_gauge(Gauge::CurrentH, stride);
+}
+
+/// Commits an accepted point, the one accept path of every step loop: the
+/// [`EventKind::PointAccepted`] event and the accept metrics (through
+/// `opts.probe` / `opts.metrics`), the window roll, the waveform sample,
+/// and [`SimStats::steps_accepted`].
+pub fn accept_point(
+    sol: &PointSolution,
+    hw: &mut HistoryWindow,
+    result: &mut TransientResult,
+    stats: &mut SimStats,
+    opts: &SimOptions,
+) {
+    opts.probe.emit(sol.t, EventKind::PointAccepted { h: sol.coeffs.h });
+    if opts.metrics.enabled() {
+        publish_accept_metrics(&opts.metrics, sol.coeffs.h, sol.t - hw.t());
+    }
+    hw.accept(sol);
+    result.push(sol.t, &sol.x);
+    stats.steps_accepted += 1;
+}
+
+/// What [`StepControl::judge`] made of a solved candidate point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Verdict {
+    /// The point passes; the controller already holds `h_next` as its next
+    /// proposal. `ratio` is the LTE error ratio, `None` when too little
+    /// smooth history existed to test it.
+    Accept {
+        /// Proposed next step.
+        h_next: f64,
+        /// LTE error ratio (`<= 1`), if the test ran.
+        ratio: Option<f64>,
+    },
+    /// The LTE test rejected the point; `h_retry` is its retry proposal.
+    RejectLte {
+        /// Retry step proposed by the LTE test.
+        h_retry: f64,
+    },
+    /// Newton did not converge.
+    Unconverged,
+    /// Newton converged, but to a non-finite solution. The serial loop
+    /// reports [`EngineError::NumericalBlowup`]; WavePipe treats it as a
+    /// Newton rejection, since a worker's solution may be poisoned.
+    NonFinite,
+}
+
+/// The transient step policy shared by every step loop — the serial loop,
+/// the lane tier, and WavePipe's round driver: the analysis window, the
+/// source breakpoints, the step bounds and the current step proposal, plus
+/// the LTE-rejection streak behind the error-floor escape.
+///
+/// Callers own the history window and the solver; the controller decides
+/// where the next point goes and what a solved point means for the step.
+#[derive(Debug, Clone)]
+pub struct StepControl {
+    tstep: f64,
+    tstop: f64,
+    hmin: f64,
+    hmax: f64,
+    bps: Vec<f64>,
+    next_bp: usize,
+    /// The current step proposal: the next step from the latest history
+    /// point, before [`StepControl::begin`] clamps it.
+    pub h: f64,
+    /// Consecutive LTE rejections at the same position: the signature of an
+    /// h-independent error floor (see [`StepControl::reject_lte`]).
+    lte_streak: usize,
+}
+
+impl StepControl {
+    /// Validates the analysis window and sets up the policy for `sys`:
+    /// breakpoints in `(0, tstop]`, the step bounds, and the initial step.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::BadParameter`] for a non-positive or non-finite
+    /// `tstop` or `tstep`.
+    pub fn new(sys: &MnaSystem, tstep: f64, tstop: f64, opts: &SimOptions) -> Result<Self> {
+        if !(tstop > 0.0 && tstop.is_finite()) {
+            return Err(EngineError::BadParameter { name: "tstop", value: tstop });
+        }
+        if !(tstep > 0.0 && tstep.is_finite()) {
+            return Err(EngineError::BadParameter { name: "tstep", value: tstep });
+        }
+        let hmin = opts.hmin(tstop);
+        let hmax = opts.hmax(tstop);
+        Ok(StepControl {
+            tstep,
+            tstop,
+            hmin,
+            hmax,
+            bps: sys.breakpoints(tstop),
+            next_bp: 0,
+            h: tstep.min(hmax).min(tstop / 100.0).max(hmin),
+            lte_streak: 0,
+        })
+    }
+
+    /// The step floor.
+    pub fn hmin(&self) -> f64 {
+        self.hmin
+    }
+
+    /// The step ceiling.
+    pub fn hmax(&self) -> f64 {
+        self.hmax
+    }
+
+    /// `true` once the history at `t` has reached `tstop` (written as the
+    /// negation of `t < tstop - hmin/2`, so a NaN time also ends the run).
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub fn done(&self, t: f64) -> bool {
+        !(t < self.tstop - 0.5 * self.hmin)
+    }
+
+    /// Starts a step from `t`: clamps the proposal into `[hmin, hmax]` and
+    /// returns it.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::NumericalBlowup`] when the proposal is not finite.
+    pub fn begin(&mut self, t: f64) -> Result<f64> {
+        if !self.h.is_finite() {
+            return Err(EngineError::NumericalBlowup { time: t });
+        }
+        self.h = self.h.clamp(self.hmin, self.hmax);
+        Ok(self.h)
+    }
+
+    /// [`StepControl::begin`] plus [`StepControl::clip_targets`] for the
+    /// one target `t + h`: the next time point and whether it sits on a
+    /// breakpoint (or `tstop`).
+    ///
+    /// # Errors
+    ///
+    /// As [`StepControl::begin`].
+    pub fn propose(&mut self, t: f64) -> Result<(f64, bool)> {
+        let h = self.begin(t)?;
+        let limit = self.horizon(t);
+        Ok(if self.reaches(limit, t + h) { (limit, true) } else { (t + h, false) })
+    }
+
+    /// Clips an ascending target list past the history time `t` at the
+    /// horizon — the next breakpoint not yet passed, or `tstop`: targets
+    /// beyond it are dropped and the last kept target snaps onto it.
+    /// Returns the clipped list and whether its last target is the horizon.
+    pub fn clip_targets(&mut self, t: f64, raw: &[f64]) -> (Vec<f64>, bool) {
+        let limit = self.horizon(t);
+        let mut out = Vec::with_capacity(raw.len());
+        for &target in raw {
+            if self.reaches(limit, target) {
+                out.push(limit);
+                return (out, true);
+            }
+            out.push(target);
+        }
+        (out, false)
+    }
+
+    /// The horizon seen from history time `t`, skipping the breakpoints the
+    /// history has already passed.
+    fn horizon(&mut self, t: f64) -> f64 {
+        while self.next_bp < self.bps.len() && self.bps[self.next_bp] <= t + 0.5 * self.hmin {
+            self.next_bp += 1;
+        }
+        self.bps.get(self.next_bp).copied().unwrap_or(self.tstop).min(self.tstop)
+    }
+
+    /// Whether `target` is close enough to the horizon `limit` to snap onto it.
+    fn reaches(&self, limit: f64, target: f64) -> bool {
+        target >= limit - 0.5 * self.hmin
+    }
+
+    /// Judges a solved candidate against the history `hw` it would extend:
+    /// Newton convergence, finiteness, then the LTE test with the stride
+    /// the candidate actually used (`sol.coeffs.h` — a WavePipe lead
+    /// integrates across several committed points). On accept the next
+    /// proposal is already in place; a rejection changes nothing, so the
+    /// caller decides whether it is the run's step
+    /// ([`StepControl::reject_lte`], [`StepControl::reject_newton`]).
+    pub fn judge(&mut self, hw: &HistoryWindow, sol: &PointSolution, opts: &SimOptions) -> Verdict {
+        if !sol.converged {
+            return Verdict::Unconverged;
+        }
+        if !wavepipe_sparse::vector::all_finite(&sol.x) {
+            return Verdict::NonFinite;
+        }
+        let h_used = sol.coeffs.h;
+        let needed = sol.method.order() + 1;
+        if hw.usable_for_lte() < needed {
+            self.h = h_used * opts.rmax;
+            return Verdict::Accept { h_next: self.h, ratio: None };
+        }
+        let refs: Vec<&[f64]> = hw.solutions()[..needed].iter().map(|v| v.as_slice()).collect();
+        let d =
+            lte_step_control(sol.method, sol.t, &sol.x, h_used, &hw.times()[..needed], &refs, opts);
+        if !d.accept && h_used > self.hmin * 1.01 {
+            return Verdict::RejectLte { h_retry: d.h_new };
+        }
+        self.lte_streak = 0;
+        self.h = d.h_new;
+        Verdict::Accept { h_next: d.h_new, ratio: Some(d.ratio) }
+    }
+
+    /// Takes an LTE rejection of the run's step of stride `h_attempt`:
+    /// counts it and retries at `h_retry` — unless the rejection is the
+    /// third in a row, or came while crawling below `1e3 * hmin`. Both are
+    /// signatures of an error floor the step cannot buy out of (trapezoidal
+    /// ringing, solver-noise-dominated divided differences), so integration
+    /// restarts with the damped order-1 method at the same step instead.
+    pub fn reject_lte(
+        &mut self,
+        hw: &mut HistoryWindow,
+        h_attempt: f64,
+        h_retry: f64,
+        stats: &mut SimStats,
+        opts: &SimOptions,
+    ) {
+        stats.steps_rejected_lte += 1;
+        opts.metrics.inc(Counter::LteRejects);
+        self.lte_streak += 1;
+        let crawling = h_attempt < self.hmin * 1e3;
+        if self.lte_streak >= 3 || crawling {
+            hw.mark_discontinuity();
+            self.lte_streak = 0;
+            self.h = h_attempt;
+        } else {
+            self.h = h_retry;
+        }
+    }
+
+    /// Takes a Newton rejection of the run's step of stride `h_attempt`
+    /// from history time `t`: counts it and shrinks the step by
+    /// `opts.nr_shrink`. Returns `true` when the step fell below the floor
+    /// and the recovery ladder should rescue the point.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::TimestepTooSmall`] when the step fell below the floor
+    /// with recovery disabled.
+    pub fn reject_newton(
+        &mut self,
+        t: f64,
+        h_attempt: f64,
+        stats: &mut SimStats,
+        opts: &SimOptions,
+    ) -> Result<bool> {
+        stats.steps_rejected_newton += 1;
+        opts.metrics.inc(Counter::NewtonRejects);
+        self.h = h_attempt * opts.nr_shrink;
+        if self.h >= self.hmin {
+            return Ok(false);
+        }
+        if !opts.recovery {
+            return Err(EngineError::TimestepTooSmall { time: t, step: self.h, hmin: self.hmin });
+        }
+        Ok(true)
+    }
+
+    /// Restarts after a rescued point was committed: a rescue is a fully
+    /// converged solution at (or below) the floor, so integration restarts
+    /// cautiously from the floor.
+    pub fn restart_after_rescue(&mut self, hw: &mut HistoryWindow) {
+        hw.mark_discontinuity();
+        self.lte_streak = 0;
+        self.h = self.hmin;
+    }
+
+    /// Restarts after the history landed on the horizon target of
+    /// [`StepControl::clip_targets`]: integration restarts past the corner
+    /// and the step is capped at a quarter of `tstep` and of the gap to the
+    /// next breakpoint (floored at `hmin`).
+    pub fn land(&mut self, hw: &mut HistoryWindow) {
+        self.next_bp += 1;
+        hw.mark_discontinuity();
+        let t = hw.t();
+        let to_next = self.bps.get(self.next_bp).map_or(self.tstop - t, |&b| b - t);
+        self.h = self.h.min(self.tstep * 0.25).min((to_next * 0.25).max(self.hmin));
+    }
 }
 
 /// A transient run's result together with the error (if any) that ended it:
@@ -676,12 +945,7 @@ pub fn run_transient_recoverable_compiled(
     tstop: f64,
     opts: &SimOptions,
 ) -> Result<TransientOutcome> {
-    if !(tstop > 0.0 && tstop.is_finite()) {
-        return Err(EngineError::BadParameter { name: "tstop", value: tstop });
-    }
-    if !(tstep > 0.0 && tstep.is_finite()) {
-        return Err(EngineError::BadParameter { name: "tstep", value: tstep });
-    }
+    let mut step = StepControl::new(sys, tstep, tstop, opts)?;
     let run_start = Instant::now();
     let mut stats = SimStats::new();
     let mut solver = PointSolver::new(Arc::clone(sys), opts.clone());
@@ -698,133 +962,41 @@ pub fn run_transient_recoverable_compiled(
     // zero budget yields the `t = 0` point.
     opts.arm_deadline();
 
-    let bps = sys.breakpoints(tstop);
-    let mut next_bp = 0usize;
-    let hmin = opts.hmin(tstop);
-    let hmax = opts.hmax(tstop);
-    let mut h = tstep.min(hmax).min(tstop / 100.0).max(hmin);
-
-    // Consecutive LTE rejections at the same position: the signature of an
-    // h-independent error floor (trapezoidal ringing, solver-noise-dominated
-    // divided differences). Escape by restarting integration with the
-    // damped order-1 method instead of shrinking the step forever.
-    let mut lte_reject_streak = 0usize;
     // The stepping loop proper, with every mid-run failure funnelled into a
     // captured error so the accepted prefix survives.
     let loop_outcome = (|| -> Result<()> {
-        while hw.t() < tstop - 0.5 * hmin {
+        while !step.done(hw.t()) {
             opts.check_budget(hw.t())?;
-            if !h.is_finite() {
-                return Err(EngineError::NumericalBlowup { time: hw.t() });
-            }
-            h = h.clamp(hmin, hmax);
-            // Propose the next time, snapping onto breakpoints.
-            let mut t_new = hw.t() + h;
-            let mut hit_bp = false;
-            while next_bp < bps.len() && bps[next_bp] <= hw.t() + 0.5 * hmin {
-                next_bp += 1; // skip already-passed breakpoints
-            }
-            if next_bp < bps.len() && t_new >= bps[next_bp] - 0.5 * hmin {
-                t_new = bps[next_bp];
-                hit_bp = true;
-            }
-            if t_new > tstop {
-                t_new = tstop;
-            }
-
+            let (t_new, hit) = step.propose(hw.t())?;
             let sol = solver.solve_point(&hw, t_new, None, opts.max_newton_iters)?;
             stats += sol.stats;
-            let h_attempt = t_new - hw.t();
-            if !sol.converged {
-                stats.steps_rejected_newton += 1;
-                opts.metrics.inc(Counter::NewtonRejects);
-                h = h_attempt * opts.nr_shrink;
-                if h < hmin {
-                    if !opts.recovery {
-                        return Err(EngineError::TimestepTooSmall { time: hw.t(), step: h, hmin });
+            match step.judge(&hw, &sol, opts) {
+                Verdict::Accept { .. } => {
+                    accept_point(&sol, &mut hw, &mut result, &mut stats, opts);
+                    if hit {
+                        step.land(&mut hw);
                     }
-                    // The step collapsed below the floor: enter the recovery
-                    // ladder instead of giving up. A rescued point is a fully
-                    // converged true-system solution; accept it like any
-                    // other (LTE cannot reject a step at or below `hmin`)
-                    // and restart integration cautiously from the floor.
-                    let rescued =
-                        solver.rescue_point(&hw, h_attempt, hmin, sol.iterations, &mut stats)?;
-                    if !wavepipe_sparse::vector::all_finite(&rescued.x) {
-                        return Err(EngineError::NumericalBlowup { time: rescued.t });
-                    }
-                    let t_rescued = rescued.t;
-                    opts.probe.emit(t_rescued, EventKind::PointAccepted { h: rescued.coeffs.h });
-                    if opts.metrics.enabled() {
-                        publish_accept_metrics(&opts.metrics, rescued.coeffs.h, hmin);
-                    }
-                    hw.accept(&rescued);
-                    result.push(t_rescued, &rescued.x);
-                    stats.steps_accepted += 1;
-                    hw.mark_discontinuity();
-                    lte_reject_streak = 0;
-                    h = hmin;
                 }
-                continue;
-            }
-            if !wavepipe_sparse::vector::all_finite(&sol.x) {
-                return Err(EngineError::NumericalBlowup { time: t_new });
-            }
-
-            // LTE accept/reject when enough smooth history exists.
-            let needed = sol.method.order() + 1;
-            if hw.usable_for_lte() >= needed {
-                let refs: Vec<&[f64]> =
-                    hw.solutions()[..needed].iter().map(|v| v.as_slice()).collect();
-                let d = lte_step_control(
-                    sol.method,
-                    t_new,
-                    &sol.x,
-                    h_attempt,
-                    &hw.times()[..needed],
-                    &refs,
-                    opts,
-                );
-                if !d.accept && h_attempt > hmin * 1.01 {
-                    stats.steps_rejected_lte += 1;
-                    opts.metrics.inc(Counter::LteRejects);
-                    lte_reject_streak += 1;
-                    // Two signatures of an error floor the step cannot buy out
-                    // of: several rejections in a row, or a rejection while
-                    // already crawling far below the natural step scale. Either
-                    // way the estimate is dominated by point-to-point artifacts
-                    // (trapezoidal ringing / solver noise), which shrinking h
-                    // cannot fix — damp them with a backward-Euler restart.
-                    let crawling = h_attempt < hmin * 1e3;
-                    if lte_reject_streak >= 3 || crawling {
-                        hw.mark_discontinuity();
-                        lte_reject_streak = 0;
-                        h = h_attempt;
-                    } else {
-                        h = d.h_new;
-                    }
-                    continue;
+                Verdict::RejectLte { h_retry } => {
+                    step.reject_lte(&mut hw, sol.coeffs.h, h_retry, &mut stats, opts);
                 }
-                lte_reject_streak = 0;
-                h = d.h_new;
-            } else {
-                h = h_attempt * opts.rmax;
-            }
-
-            opts.probe.emit(t_new, EventKind::PointAccepted { h: sol.coeffs.h });
-            if opts.metrics.enabled() {
-                publish_accept_metrics(&opts.metrics, sol.coeffs.h, h);
-            }
-            hw.accept(&sol);
-            result.push(t_new, &sol.x);
-            stats.steps_accepted += 1;
-
-            if hit_bp {
-                next_bp += 1;
-                hw.mark_discontinuity();
-                // Restart cautiously after the corner.
-                let to_next = bps.get(next_bp).map_or(tstop - hw.t(), |&b| b - hw.t());
-                h = h.min(tstep * 0.25).min((to_next * 0.25).max(hmin));
+                Verdict::NonFinite => return Err(EngineError::NumericalBlowup { time: t_new }),
+                Verdict::Unconverged => {
+                    if step.reject_newton(hw.t(), sol.coeffs.h, &mut stats, opts)? {
+                        // The step collapsed below the floor: the recovery
+                        // ladder's rescued point is a converged, finite
+                        // true-system solution, accepted like any other.
+                        let rescued = solver.rescue_point(
+                            &hw,
+                            sol.coeffs.h,
+                            step.hmin(),
+                            sol.iterations,
+                            &mut stats,
+                        )?;
+                        accept_point(&rescued, &mut hw, &mut result, &mut stats, opts);
+                        step.restart_after_rescue(&mut hw);
+                    }
+                }
             }
         }
         Ok(())
@@ -1006,5 +1178,170 @@ mod tests {
         hw.points_since_restart = 1;
         let p = hw.predict(2.0);
         assert!((p[0] - 6.0).abs() < 1e-12, "p = {}", p[0]);
+    }
+
+    const HMIN: f64 = 1e-16;
+
+    /// A controller over `[0, 1 us]` with `tstep = 10 ns`, the given
+    /// breakpoints (`tstop` last, as [`MnaSystem::breakpoints`] returns them)
+    /// and the step proposal `h`.
+    fn control(bps: &[f64], h: f64) -> StepControl {
+        StepControl {
+            tstep: 1e-8,
+            tstop: 1e-6,
+            hmin: HMIN,
+            hmax: 2e-8,
+            bps: bps.to_vec(),
+            next_bp: 0,
+            h,
+            lte_streak: 0,
+        }
+    }
+
+    /// A one-node history at `t` with `smooth` points since the last restart.
+    fn history_at(t: f64, smooth: usize) -> HistoryWindow {
+        let mut hw = HistoryWindow::start(vec![0.0], 0);
+        hw.times[0] = t;
+        hw.points_since_restart = smooth;
+        hw
+    }
+
+    fn candidate(t: f64, x: f64, converged: bool) -> PointSolution {
+        PointSolution {
+            t,
+            x: vec![x],
+            method: Method::BackwardEuler,
+            coeffs: IntegCoeffs::new(Method::BackwardEuler, 2e-9, 2e-9),
+            converged,
+            iterations: 3,
+            cap_currents: Vec::new(),
+            stats: SimStats::new(),
+        }
+    }
+
+    #[test]
+    fn step_control_seeds_breakpoints_and_the_initial_step() {
+        let ckt = rc_circuit(1e3, 1e-9);
+        let sys = MnaSystem::compile(&ckt).unwrap();
+        let opts = SimOptions::default();
+        let sc = StepControl::new(&sys, 1e-8, 5e-6, &opts).unwrap();
+        assert_eq!(sc.bps.last(), Some(&5e-6), "tstop is the final breakpoint");
+        assert_eq!(sc.h, 1e-8_f64.min(opts.hmax(5e-6)).min(5e-8).max(opts.hmin(5e-6)));
+        assert!(matches!(
+            StepControl::new(&sys, 1e-8, f64::INFINITY, &opts),
+            Err(EngineError::BadParameter { name: "tstop", .. })
+        ));
+    }
+
+    #[test]
+    fn passed_breakpoints_are_skipped() {
+        let mut sc = control(&[1e-7, 2e-7, 3e-7, 1e-6], 1e-8);
+        let (targets, hit) = sc.clip_targets(2.5e-7, &[2.6e-7, 2.9e-7, 3.5e-7]);
+        assert_eq!(targets, vec![2.6e-7, 2.9e-7, 3e-7], "snaps onto the first unpassed corner");
+        assert!(hit);
+        assert_eq!(sc.next_bp, 2);
+        // A breakpoint the history sits on counts as passed.
+        let (targets, hit) = sc.clip_targets(3e-7, &[3.1e-7]);
+        assert_eq!((targets, hit), (vec![3.1e-7], false));
+        assert_eq!(sc.next_bp, 3);
+        // The one-target proposal clamps into [hmin, hmax] first.
+        sc.h = 1.0;
+        assert_eq!(sc.propose(9.9e-7).unwrap(), (1e-6, true));
+        assert_eq!(sc.h, 2e-8);
+    }
+
+    #[test]
+    fn breakpoint_landing_caps_the_next_step() {
+        // min(h, tstep/4, gap/4): tstep binds (gap/4 = 25 ns > 2.5 ns).
+        let mut sc = control(&[1e-7, 2e-7, 1e-6], 1e-8);
+        let mut hw = history_at(1e-7, 3);
+        sc.land(&mut hw);
+        assert_eq!(sc.h, 2.5e-9);
+        assert_eq!(hw.points_since_restart(), 0, "integration restarts past the corner");
+        // The gap to the next breakpoint binds.
+        let mut sc = control(&[1e-7, 1.04e-7, 1e-6], 1e-8);
+        sc.land(&mut history_at(1e-7, 3));
+        assert_eq!(sc.h, (1.04e-7 - 1e-7) * 0.25);
+        // A gap below 4 hmin is floored at hmin.
+        let mut sc = control(&[1e-7, 1e-7 + 1e-16, 1e-6], 1e-8);
+        sc.land(&mut history_at(1e-7, 3));
+        assert_eq!(sc.h, HMIN);
+    }
+
+    #[test]
+    fn three_lte_rejections_in_a_row_retry_at_the_same_step() {
+        let opts = SimOptions::default();
+        let mut stats = SimStats::new();
+        let mut sc = control(&[1e-6], 1e-8);
+        let mut hw = history_at(1e-7, 3);
+        sc.reject_lte(&mut hw, 8e-9, 4e-9, &mut stats, &opts);
+        sc.reject_lte(&mut hw, 4e-9, 2e-9, &mut stats, &opts);
+        assert_eq!(sc.h, 2e-9, "the first two rejections take the LTE retry");
+        assert_eq!(hw.points_since_restart(), 3);
+        sc.reject_lte(&mut hw, 2e-9, 1e-9, &mut stats, &opts);
+        assert_eq!(sc.h, 2e-9, "the third retries at the same step");
+        assert_eq!(hw.points_since_restart(), 0, "and marks a discontinuity");
+        sc.reject_lte(&mut hw, 2e-9, 1e-9, &mut stats, &opts);
+        assert_eq!(sc.h, 1e-9, "the streak starts over");
+        assert_eq!(stats.steps_rejected_lte, 4);
+    }
+
+    #[test]
+    fn crawling_lte_rejection_retries_at_the_same_step() {
+        let opts = SimOptions::default();
+        let mut stats = SimStats::new();
+        let mut sc = control(&[1e-6], 1e-8);
+        let mut hw = history_at(1e-7, 3);
+        let crawl = 500.0 * HMIN;
+        sc.reject_lte(&mut hw, crawl, 0.5 * crawl, &mut stats, &opts);
+        assert_eq!(sc.h, crawl);
+        assert_eq!(hw.points_since_restart(), 0);
+    }
+
+    #[test]
+    fn newton_rejection_below_the_floor_asks_for_recovery() {
+        let opts = SimOptions::default();
+        let mut stats = SimStats::new();
+        let mut sc = control(&[1e-6], 1e-8);
+        assert!(!sc.reject_newton(1e-7, 1e-9, &mut stats, &opts).unwrap());
+        assert_eq!(sc.h, 1e-9 * opts.nr_shrink);
+        assert!(sc.reject_newton(1e-7, 2.0 * HMIN, &mut stats, &opts).unwrap());
+        let strict = opts.clone().with_recovery(false);
+        let err = sc.reject_newton(1e-7, 2.0 * HMIN, &mut stats, &strict).unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::TimestepTooSmall { time, hmin, .. } if time == 1e-7 && hmin == HMIN
+        ));
+        assert_eq!(stats.steps_rejected_newton, 3);
+        let mut hw = history_at(1e-7, 3);
+        sc.restart_after_rescue(&mut hw);
+        assert_eq!((sc.h, hw.points_since_restart()), (HMIN, 0));
+    }
+
+    #[test]
+    fn non_finite_step_is_a_blowup() {
+        let mut sc = control(&[1e-6], f64::NAN);
+        assert!(
+            matches!(sc.begin(3e-7), Err(EngineError::NumericalBlowup { time }) if time == 3e-7)
+        );
+        sc.h = f64::INFINITY;
+        assert!(matches!(sc.propose(3e-7), Err(EngineError::NumericalBlowup { .. })));
+    }
+
+    #[test]
+    fn judge_classifies_candidates() {
+        let opts = SimOptions::default();
+        let mut sc = control(&[1e-6], 1e-8);
+        let hw = history_at(1e-7, 0);
+        let t = 1e-7 + 2e-9;
+        assert_eq!(sc.judge(&hw, &candidate(t, 1.0, false), &opts), Verdict::Unconverged);
+        assert_eq!(sc.judge(&hw, &candidate(t, f64::NAN, true), &opts), Verdict::NonFinite);
+        // Too little smooth history for the LTE test: accept and grow by rmax.
+        let h_next = 2e-9 * opts.rmax;
+        assert_eq!(
+            sc.judge(&hw, &candidate(t, 1.0, true), &opts),
+            Verdict::Accept { h_next, ratio: None }
+        );
+        assert_eq!(sc.h, h_next);
     }
 }

@@ -9,7 +9,9 @@ use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::{
     run_transient, FaultPlan, MetricsHandle, MetricsRegistry, MnaSystem, SimOptions,
 };
-use wavepipe::telemetry::{chrome, json, jsonl, EventKind, Probe, ProbeHandle, RecordingProbe};
+use wavepipe::telemetry::{
+    chrome, json, jsonl, EventKind, Gauge, Probe, ProbeHandle, RecordingProbe,
+};
 
 fn traced_run(
     scheme: Scheme,
@@ -133,4 +135,24 @@ fn per_class_metrics_match_stamp_counters() {
         let nl_evals = nl * stats.newton_iterations - stats.bypass_hits;
         assert_eq!(sum("class_evals"), nl_evals as u64, "{what}: nonlinear evaluations");
     }
+}
+
+/// `current_h` is the committed stride in every step loop: after a serial
+/// run and a backward-pipelined run it equals the last stride of the
+/// returned waveform (not the next step proposal).
+#[test]
+fn current_h_gauge_is_the_last_committed_stride() {
+    let b = generators::rc_ladder(8);
+    let last_stride = |times: &[f64]| times[times.len() - 1] - times[times.len() - 2];
+
+    let registry = MetricsRegistry::shared();
+    let opts = SimOptions::default().with_metrics(MetricsHandle::new(registry.clone()));
+    let res = run_transient(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
+    assert_eq!(registry.gauge(Gauge::CurrentH), last_stride(res.times()), "serial");
+
+    let registry = MetricsRegistry::shared();
+    let wp = WavePipeOptions::new(Scheme::Backward, 2)
+        .with_metrics(MetricsHandle::new(registry.clone()));
+    let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &wp).unwrap();
+    assert_eq!(registry.gauge(Gauge::CurrentH), last_stride(rep.result.times()), "backward");
 }
